@@ -61,7 +61,7 @@ MEMORY_LIMIT_MB = 300.0
 #                             that accept it (serial/batched/snapshot/sketch)
 #   REPRO_BENCH_PATH_WORKERS=n
 #                             parallel structure builds in the path-proxy
-#                             engine (PMIA/LDAG/IRIE/SIMPATH); deterministic,
+#                             engine (PMIA/LDAG/SIMPATH); deterministic,
 #                             so results are identical at any worker count
 #   REPRO_BENCH_TRACE=path    collect per-cell telemetry (phase spans and
 #                             engine counters) and append it as JSONL to
@@ -72,11 +72,7 @@ MEMORY_LIMIT_MB = 300.0
 #                             worker pool (repro.framework.pool) that all
 #                             parallel engines fan out through; a chunk
 #                             failing n times is quarantined -> cell FAILED
-#   REPRO_BENCH_SHARDS=s      partition-aware sharded fan-out: pool chunks
-#                             execute in s round-robin waves and the path
-#                             engine groups sources by an edge-cut
-#                             partition; pure scheduling, so seeds and
-#                             spreads stay byte-identical at any s
+#                             (read by the pool itself in every process)
 #   REPRO_SHM_MIN_BYTES=b     minimum total ndarray bytes in a pool call's
 #                             shared args before they ship through the
 #                             shared-memory arena instead of pickle
@@ -97,8 +93,6 @@ BENCH_MC_BATCH = int(os.environ.get("REPRO_BENCH_MC_BATCH", "0") or "0")
 BENCH_SPREAD_ORACLE = os.environ.get("REPRO_BENCH_SPREAD_ORACLE", "") or None
 BENCH_PATH_WORKERS = int(os.environ.get("REPRO_BENCH_PATH_WORKERS", "0") or "0")
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE", "") or None
-BENCH_POOL_RETRIES = int(os.environ.get("REPRO_BENCH_POOL_RETRIES", "0") or "0") or None
-BENCH_SHARDS = int(os.environ.get("REPRO_BENCH_SHARDS", "0") or "0") or None
 JOURNAL_DIR = RESULTS_DIR / "journals"
 
 #: Per-algorithm constructor parameters scaled for pure Python.  epsilon /
@@ -212,8 +206,6 @@ def run_cell(
             memory_limit_mb=memory_limit_mb,
             track_memory=memory_limit_mb is not None,
             telemetry=BENCH_TRACE is not None,
-            pool_retries=BENCH_POOL_RETRIES,
-            shards=BENCH_SHARDS,
         ),
         retry=RetryPolicy(max_attempts=max(1, BENCH_RETRIES)),
     )

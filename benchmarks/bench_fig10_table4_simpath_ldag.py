@@ -21,6 +21,7 @@ from repro.diffusion.models import LT
 from repro.framework.metrics import run_with_budget
 from repro.framework.results import render_series
 from repro.graph.multigraph import MultiDiGraph, consolidate
+from tests.reference import LegacyLDAG
 
 from _common import emit, evaluate_spread, once, weighted_dataset
 
@@ -106,9 +107,9 @@ def test_fig10ab_quality_parity(benchmark):
     """Comparable spread (the race is about time) + path-engine speedup.
 
     The quality column doubles as the parity check for the vectorized
-    path-proxy engine: LDAG is run on both engines, the seed sets must be
-    identical, and the elapsed times give the engine's speedup on the
-    Table-4 workload.
+    path-proxy engine: LDAG is run on the engine and on the legacy loop
+    in ``tests/reference``, the seed sets must be identical, and the
+    elapsed times give the engine's speedup on the Table-4 workload.
     """
 
     def experiment():
@@ -118,11 +119,12 @@ def test_fig10ab_quality_parity(benchmark):
         spreads = {}
         engine_times = {}
         seeds = {}
-        for engine in ("legacy", "flat"):
+        for engine, algo in (
+            ("legacy", LegacyLDAG()),
+            ("flat", registry.make("LDAG")),
+        ):
             start = time.perf_counter()
-            res = registry.make("LDAG", engine=engine).select(
-                graph, 25, LT, rng=np.random.default_rng(3)
-            )
+            res = algo.select(graph, 25, LT, rng=np.random.default_rng(3))
             engine_times[engine] = time.perf_counter() - start
             seeds[engine] = res.seeds
         spreads["LDAG"] = evaluate_spread(graph, seeds["flat"], LT).mean

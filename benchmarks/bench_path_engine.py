@@ -6,12 +6,13 @@ largest catalog dataset:
 
 * **structure build** — every MIIA arborescence (PMIA, WC analogue) and
   every LDAG (LDAG, LT analogue) of the graph, legacy per-root dict/heap
-  loop vs the batched kernel vs the kernel fanned over ``path_workers``
-  processes;
-* **greedy selection** — full k-seed selection per technique,
-  ``engine="legacy"`` vs ``engine="flat"``, with the decoupled MC spread
-  as the quality column.  The engine is a bit-identical drop-in, so the
-  seed sets must agree exactly — the bench asserts it.
+  loop (``tests/reference``) vs the batched kernel vs the kernel fanned
+  over ``path_workers`` processes;
+* **greedy selection** — full k-seed selection per technique, the
+  ``tests/reference`` loop (``LegacyPMIA`` etc.) vs the product class,
+  with the decoupled MC spread as the quality column.  The engine is a
+  bit-identical drop-in, so the seed sets must agree exactly — the bench
+  asserts it.
 
 Knobs:
 
@@ -30,11 +31,18 @@ import time
 import numpy as np
 
 from repro.algorithms.irie import IRIE
-from repro.algorithms.ldag import LDAG, build_ldag
-from repro.algorithms.pmia import PMIA, build_miia
+from repro.algorithms.ldag import LDAG
+from repro.algorithms.pmia import PMIA
 from repro.datasets import catalog
 from repro.diffusion.models import WC, LT
 from repro.diffusion.paths import build_dag_store, build_tree_store
+from tests.reference import (
+    LegacyIRIE,
+    LegacyLDAG,
+    LegacyPMIA,
+    build_ldag,
+    build_miia,
+)
 
 from _common import BENCH_PATH_WORKERS, emit, evaluate_spread, once
 
@@ -68,15 +76,18 @@ def _build_rows(graph_wc, graph_lt):
 
 def _greedy_rows(graph_wc, graph_lt):
     rows = []
-    for cls, model, graph in ((PMIA, WC, graph_wc), (LDAG, LT, graph_lt),
-                              (IRIE, WC, graph_wc)):
+    for cls, legacy_cls, model, graph in (
+        (PMIA, LegacyPMIA, WC, graph_wc),
+        (LDAG, LegacyLDAG, LT, graph_lt),
+        (IRIE, LegacyIRIE, WC, graph_wc),
+    ):
         start = time.perf_counter()
-        legacy = cls(engine="legacy").select(
+        legacy = legacy_cls().select(
             graph, K, model, rng=np.random.default_rng(0)
         )
         t_legacy = time.perf_counter() - start
         start = time.perf_counter()
-        flat = cls(engine="flat").select(
+        flat = cls().select(
             graph, K, model, rng=np.random.default_rng(0)
         )
         t_flat = time.perf_counter() - start

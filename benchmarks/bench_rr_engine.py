@@ -5,7 +5,8 @@ Not a paper figure: this bench validates the engine the RR-sketch family
 analogue, then measures
 
 * vectorized flat-CSR ``greedy_max_cover`` against the legacy
-  list-walking cover (byte-identical seeds are asserted first — the
+  list-walking cover in ``tests/reference`` (byte-identical seeds are
+  asserted first — the
   speedup is only meaningful if the answers agree), and
 * serial vs. worker-pool RR sampling throughput plus the pool's flat-CSR
   memory footprint (``FlatRRPool.nbytes``).
@@ -29,8 +30,8 @@ import numpy as np
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover_legacy
 from repro.graph.generators import build, powerlaw_configuration
+from tests.reference import RRCollection, greedy_max_cover_legacy
 
 from _common import emit, once
 

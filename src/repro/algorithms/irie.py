@@ -19,7 +19,6 @@ IRIE has no external accuracy parameter in the benchmark (Sec. 5.1.1).
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
 import numpy as np
@@ -29,39 +28,7 @@ from ..diffusion.models import Dynamics, PropagationModel
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
-__all__ = ["IRIE", "max_probability_paths"]
-
-
-def max_probability_paths(
-    graph: DiGraph, source: int, threshold: float
-) -> dict[int, float]:
-    """Maximum path-propagation probability from ``source`` to each node.
-
-    Dijkstra over -log(weight); paths whose product drops below
-    ``threshold`` are pruned (the MIA/PMIA trick).  Returns only nodes with
-    pp >= threshold, excluding the source itself.
-    """
-    best: dict[int, float] = {source: 1.0}
-    heap: list[tuple[float, int]] = [(-1.0, source)]
-    while heap:
-        neg_pp, u = heapq.heappop(heap)
-        pp = -neg_pp
-        # Stale duplicate entries carry a pp below the final best[u]
-        # (push values strictly increase per node); comparing against
-        # best skips them without a settled-set membership probe.
-        if pp < best[u]:
-            continue
-        dst, w = graph.out_neighbors(u)
-        for v, wv in zip(dst, w):
-            v = int(v)
-            nxt = pp * float(wv)
-            if nxt < threshold:
-                continue
-            if nxt > best.get(v, 0.0):
-                best[v] = nxt
-                heapq.heappush(heap, (-nxt, v))
-    best.pop(source, None)
-    return best
+__all__ = ["IRIE"]
 
 
 class IRIE(IMAlgorithm):
@@ -76,23 +43,12 @@ class IRIE(IMAlgorithm):
         alpha: float = 0.7,
         iterations: int = 20,
         ap_threshold: float = 1.0 / 320.0,
-        engine: str = "flat",
-        path_workers: int | None = None,
     ) -> None:
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if engine not in ("flat", "legacy"):
-            raise ValueError("engine must be 'flat' or 'legacy'")
         self.alpha = alpha
         self.iterations = iterations
         self.ap_threshold = ap_threshold
-        #: "flat" runs the IE step on the path-proxy kernel (bit-identical
-        #: pp values); "legacy" keeps the dict/heap reference helper.
-        self.engine = engine
-        #: Accepted for injection uniformity with the other proxy
-        #: techniques; the IE step is single-source, so the kernel never
-        #: actually fans out (results are identical either way).
-        self.path_workers = path_workers
 
     def _rank(
         self,
@@ -131,20 +87,15 @@ class IRIE(IMAlgorithm):
             seeds.append(v)
             in_seed[v] = True
             ap[v] = 1.0
-            # IE step: fold the new seed's reach into AP along max-prob paths.
-            if self.engine == "flat":
-                batch = paths.batched_max_prob_paths(
-                    graph, np.array([v], dtype=np.int64), self.ap_threshold,
-                    workers=self.path_workers,
-                )
-                sl = batch.slice(0)
-                nodes = batch.node[sl.start + 1:sl.stop]  # source excluded
-                pps = batch.pp[sl.start + 1:sl.stop]
-                keep = ~in_seed[nodes]
-                u = nodes[keep]
-                ap[u] = 1.0 - (1.0 - ap[u]) * (1.0 - pps[keep])
-            else:
-                for u, pp in max_probability_paths(graph, v, self.ap_threshold).items():
-                    if not in_seed[u]:
-                        ap[u] = 1.0 - (1.0 - ap[u]) * (1.0 - pp)
+            # IE step: fold the new seed's reach into AP along max-prob
+            # paths (single-source, so the kernel never fans out).
+            batch = paths.batched_max_prob_paths(
+                graph, np.array([v], dtype=np.int64), self.ap_threshold
+            )
+            sl = batch.slice(0)
+            nodes = batch.node[sl.start + 1:sl.stop]  # source excluded
+            pps = batch.pp[sl.start + 1:sl.stop]
+            keep = ~in_seed[nodes]
+            u = nodes[keep]
+            ap[u] = 1.0 - (1.0 - ap[u]) * (1.0 - pps[keep])
         return seeds, {}

@@ -22,7 +22,6 @@ opposite of SIMPATH's published claim.
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
 import numpy as np
@@ -32,74 +31,7 @@ from ..diffusion.models import Dynamics, PropagationModel
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
-__all__ = ["LDAG", "build_ldag"]
-
-
-class _LocalDAG:
-    """LDAG(v, η): nodes, intra-DAG edges, and a valid processing order."""
-
-    __slots__ = ("root", "nodes", "order", "in_edges", "ap", "alpha")
-
-    def __init__(
-        self,
-        root: int,
-        order: list[int],
-        in_edges: dict[int, list[tuple[int, float]]],
-    ) -> None:
-        self.root = root
-        # ``order`` sorts nodes by decreasing distance-to-root, so every
-        # edge goes from later-to-earlier is False: edges go from a node
-        # farther from the root to one nearer, i.e. forward in ``order``.
-        self.order = order
-        self.nodes = set(order)
-        self.in_edges = in_edges
-        self.ap: dict[int, float] = {}
-        self.alpha: dict[int, float] = {}
-
-
-def build_ldag(graph: DiGraph, root: int, eta: float) -> _LocalDAG:
-    """Construct LDAG(root, η) via max-probability-path Dijkstra.
-
-    A node ``u`` enters the DAG when its best path probability to ``root``
-    is >= η; the DAG keeps every graph edge (y, x) between members whose
-    path probabilities strictly increase toward the root, which guarantees
-    acyclicity.
-    """
-    # Dijkstra on the reverse graph maximizing the product of weights.
-    # The settle order is the distance ranking: settled earlier = nearer to
-    # the root (ties included), which breaks pp ties consistently.
-    best: dict[int, float] = {root: 1.0}
-    settle_rank: dict[int, int] = {}
-    heap: list[tuple[float, int]] = [(-1.0, root)]
-    while heap:
-        neg_pp, x = heapq.heappop(heap)
-        pp = -neg_pp
-        # Stale entries (superseded by a later strict improvement) carry
-        # pp < best[x]; the comparison skips them without a settled-set
-        # membership probe (push values strictly increase per node).
-        if pp < best[x]:
-            continue
-        settle_rank[x] = len(settle_rank)
-        src, w = graph.in_neighbors(x)
-        for y, wy in zip(src, w):
-            y = int(y)
-            nxt = pp * float(wy)
-            if nxt >= eta and nxt > best.get(y, 0.0):
-                best[y] = nxt
-                heapq.heappush(heap, (-nxt, y))
-
-    # Farthest-first processing order (descending settle rank); every kept
-    # edge (y, x) has rank(y) > rank(x), so it points forward in ``order``
-    # and the kept edge set is acyclic with the root last.
-    order = sorted(settle_rank, key=lambda u: settle_rank[u], reverse=True)
-    in_edges: dict[int, list[tuple[int, float]]] = {u: [] for u in settle_rank}
-    for x in settle_rank:
-        src, w = graph.in_neighbors(x)
-        for y, wy in zip(src, w):
-            y = int(y)
-            if y in settle_rank and settle_rank[y] > settle_rank[x]:
-                in_edges[x].append((y, float(wy)))
-    return _LocalDAG(root, order, in_edges)
+__all__ = ["LDAG"]
 
 
 class LDAG(IMAlgorithm):
@@ -112,66 +44,12 @@ class LDAG(IMAlgorithm):
     def __init__(
         self,
         eta: float = 1.0 / 320.0,
-        engine: str = "flat",
         path_workers: int | None = None,
     ) -> None:
         if not 0.0 < eta <= 1.0:
             raise ValueError("eta must be in (0, 1]")
-        if engine not in ("flat", "legacy"):
-            raise ValueError("engine must be 'flat' or 'legacy'")
         self.eta = eta
-        #: "flat" runs on the batched path-proxy engine (bit-identical
-        #: seeds); "legacy" keeps the per-root dict/heap reference path.
-        self.engine = engine
         self.path_workers = path_workers
-
-    # -- per-DAG dynamic programs ------------------------------------
-
-    @staticmethod
-    def _forward_ap(dag: _LocalDAG, in_seed: np.ndarray) -> None:
-        """ap(x) for the current seed set: seeds have ap = 1."""
-        ap: dict[int, float] = {}
-        for x in dag.order:  # farthest first: all in-DAG parents come earlier
-            if in_seed[x]:
-                ap[x] = 1.0
-                continue
-            total = 0.0
-            for y, wy in dag.in_edges[x]:
-                total += ap[y] * wy
-            ap[x] = min(total, 1.0)
-        dag.ap = ap
-
-    @staticmethod
-    def _backward_alpha(dag: _LocalDAG, in_seed: np.ndarray) -> None:
-        """α(u) = ∂ap(root)/∂ap(u); propagation stops at seeds."""
-        alpha: dict[int, float] = {u: 0.0 for u in dag.order}
-        if in_seed[dag.root]:
-            # ap(root) is pinned at 1; nothing can change it.
-            dag.alpha = alpha
-            return
-        alpha[dag.root] = 1.0
-        for x in reversed(dag.order):  # nearest-to-root first
-            ax = alpha[x]
-            if ax == 0.0:
-                continue
-            if in_seed[x] and x != dag.root:
-                # A seed's ap is pinned at 1: derivatives do not pass it.
-                continue
-            for y, wy in dag.in_edges[x]:
-                alpha[y] += ax * wy
-        dag.alpha = alpha
-
-    def _dag_gains(self, dag: _LocalDAG, in_seed: np.ndarray) -> dict[int, float]:
-        """Marginal gain contribution of each DAG member."""
-        self._forward_ap(dag, in_seed)
-        self._backward_alpha(dag, in_seed)
-        return {
-            u: dag.alpha[u] * (1.0 - dag.ap[u])
-            for u in dag.order
-            if not in_seed[u]
-        }
-
-    # -- main selection -------------------------------------------------
 
     def _select(
         self,
@@ -181,62 +59,12 @@ class LDAG(IMAlgorithm):
         rng: np.random.Generator,
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
-        if self.engine == "flat":
-            return self._select_flat(graph, k, budget)
-        in_seed = np.zeros(graph.n, dtype=bool)
-        dags: list[_LocalDAG] = []
-        containing: list[list[int]] = [[] for __ in range(graph.n)]
-        for v in range(graph.n):
-            if v % 64 == 0:
-                self._tick(budget)
-            dag = build_ldag(graph, v, self.eta)
-            idx = len(dags)
-            dags.append(dag)
-            for u in dag.nodes:
-                containing[u].append(idx)
+        """Batched LDAG builds + vectorized LT sweeps.
 
-        # Global incremental-influence scores: IncInf[u] = Σ_DAGs gain.
-        inc_inf = np.zeros(graph.n, dtype=np.float64)
-        per_dag_gain: list[dict[int, float]] = []
-        for dag in dags:
-            gains = self._dag_gains(dag, in_seed)
-            per_dag_gain.append(gains)
-            for u, g in gains.items():
-                inc_inf[u] += g
-
-        seeds: list[int] = []
-        total_dag_nodes = sum(len(d.nodes) for d in dags)
-        for __ in range(k):
-            self._tick(budget)
-            masked = np.where(in_seed, -np.inf, inc_inf)
-            s = int(masked.argmax())
-            seeds.append(s)
-            in_seed[s] = True
-            # Only DAGs containing s change; swap their gain contributions.
-            for idx in containing[s]:
-                for u, g in per_dag_gain[idx].items():
-                    inc_inf[u] -= g
-                gains = self._dag_gains(dags[idx], in_seed)
-                per_dag_gain[idx] = gains
-                for u, g in gains.items():
-                    inc_inf[u] += g
-        return seeds, {
-            "eta": self.eta,
-            "total_dag_nodes": total_dag_nodes,
-            "avg_dag_size": total_dag_nodes / max(graph.n, 1),
-        }
-
-    def _select_flat(
-        self,
-        graph: DiGraph,
-        k: int,
-        budget: Budget | None,
-    ) -> tuple[list[int], dict[str, Any]]:
-        """Engine path: batched LDAG builds + vectorized LT sweeps.
-
-        Same greedy as the legacy loop with identical float accumulation
-        order; the DAG topology is static (no prefix exclusion), so each
-        round only re-sweeps the dirty structures from ``containing``.
+        The DAG topology is static (no prefix exclusion), so each round
+        only re-sweeps the dirty structures from ``containing``.  Float
+        accumulation order matches the per-root dict/heap loop in
+        ``tests/reference``, so seeds are bit-identical to it.
         """
         def tick() -> None:
             self._tick(budget)

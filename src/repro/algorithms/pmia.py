@@ -28,7 +28,6 @@ Machinery:
 
 from __future__ import annotations
 
-import heapq
 from typing import Any
 
 import numpy as np
@@ -38,81 +37,7 @@ from ..diffusion.models import Dynamics, PropagationModel
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
-__all__ = ["PMIA", "build_miia"]
-
-
-class _Arborescence:
-    """MIIA(root, θ): parent pointers toward the root + processing order."""
-
-    __slots__ = ("root", "order", "parent", "weight", "children", "ap", "alpha")
-
-    def __init__(
-        self,
-        root: int,
-        order: list[int],
-        parent: dict[int, int],
-        weight: dict[int, float],
-    ) -> None:
-        self.root = root
-        #: Nodes sorted farthest-first (leaves before the root).
-        self.order = order
-        #: parent[u] = next hop from u toward the root (root absent).
-        self.parent = parent
-        #: weight[u] = W(u, parent[u]).
-        self.weight = weight
-        self.children: dict[int, list[int]] = {u: [] for u in order}
-        for u, x in parent.items():
-            self.children[x].append(u)
-        self.ap: dict[int, float] = {}
-        self.alpha: dict[int, float] = {}
-
-    @property
-    def nodes(self) -> set[int]:
-        return set(self.order)
-
-
-def build_miia(
-    graph: DiGraph,
-    root: int,
-    theta: float,
-    blocked: np.ndarray | None = None,
-) -> _Arborescence:
-    """Max-probability in-arborescence of ``root``, pruned below ``theta``.
-
-    ``blocked`` marks nodes that may not appear as *interior* nodes (the
-    prefix exclusion: chosen seeds block influence paths through them).
-    """
-    best: dict[int, float] = {root: 1.0}
-    parent: dict[int, int] = {}
-    weight: dict[int, float] = {}
-    settle_order: list[int] = []
-    heap: list[tuple[float, int]] = [(-1.0, root)]
-    while heap:
-        neg_pp, x = heapq.heappop(heap)
-        pp = -neg_pp
-        # A node is pushed once per strict improvement, so stale entries
-        # carry a pp below the final best[x]; comparing against best skips
-        # them without a separate settled set (pushed values are strictly
-        # increasing, so the equality fires exactly once per node).
-        if pp < best[x]:
-            continue
-        settle_order.append(x)
-        if blocked is not None and blocked[x] and x != root:
-            continue  # a seed conducts nothing further upstream
-        src, w = graph.in_neighbors(x)
-        for y, wy in zip(src, w):
-            y = int(y)
-            nxt = pp * float(wy)
-            if nxt >= theta and nxt > best.get(y, 0.0):
-                best[y] = nxt
-                parent[y] = x
-                weight[y] = float(wy)
-                heapq.heappush(heap, (-nxt, y))
-    # Drop entries whose parent chain was superseded after their push —
-    # parent/weight were overwritten on every improvement, so they are
-    # consistent with `best`; order leaves-first = reverse settle order.
-    order = list(reversed(settle_order))
-    return _Arborescence(root, order, parent, weight)
+__all__ = ["PMIA"]
 
 
 class PMIA(IMAlgorithm):
@@ -125,80 +50,12 @@ class PMIA(IMAlgorithm):
     def __init__(
         self,
         theta: float = 1.0 / 320.0,
-        engine: str = "flat",
         path_workers: int | None = None,
     ) -> None:
         if not 0.0 < theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if engine not in ("flat", "legacy"):
-            raise ValueError("engine must be 'flat' or 'legacy'")
         self.theta = theta
-        #: "flat" runs on the batched path-proxy engine (bit-identical
-        #: seeds); "legacy" keeps the per-root dict/heap reference path.
-        self.engine = engine
         self.path_workers = path_workers
-
-    # -- tree dynamic programs -----------------------------------------
-
-    @staticmethod
-    def _forward_ap(arb: _Arborescence, in_seed: np.ndarray) -> None:
-        """Exact IC activation probability on the tree (leaves first)."""
-        ap: dict[int, float] = {}
-        for x in arb.order:
-            if in_seed[x]:
-                ap[x] = 1.0
-                continue
-            miss = 1.0
-            for y in arb.children[x]:
-                miss *= 1.0 - ap[y] * arb.weight[y]
-            ap[x] = 1.0 - miss
-        arb.ap = ap
-
-    @staticmethod
-    def _backward_alpha(arb: _Arborescence, in_seed: np.ndarray) -> None:
-        """α(root, u) by the MIA recursion (root first)."""
-        alpha: dict[int, float] = {u: 0.0 for u in arb.order}
-        if in_seed[arb.root]:
-            arb.alpha = alpha
-            return
-        alpha[arb.root] = 1.0
-        for x in reversed(arb.order):  # root towards the leaves
-            ax = alpha[x]
-            if ax == 0.0:
-                continue
-            if in_seed[x] and x != arb.root:
-                continue
-            kids = arb.children[x]
-            if not kids:
-                continue
-            misses = [1.0 - arb.ap[y] * arb.weight[y] for y in kids]
-            total_miss = 1.0
-            for m in misses:
-                total_miss *= m
-            for y, miss_y in zip(kids, misses):
-                # Product over siblings of y = total product / y's factor;
-                # guard the miss_y == 0 case (a sibling with certain
-                # activation) by recomputing directly.
-                if miss_y > 1e-12:
-                    siblings = total_miss / miss_y
-                else:
-                    siblings = 1.0
-                    for z, miss_z in zip(kids, misses):
-                        if z != y:
-                            siblings *= miss_z
-                alpha[y] = ax * arb.weight[y] * siblings
-        arb.alpha = alpha
-
-    def _gains(self, arb: _Arborescence, in_seed: np.ndarray) -> dict[int, float]:
-        self._forward_ap(arb, in_seed)
-        self._backward_alpha(arb, in_seed)
-        return {
-            u: arb.alpha[u] * (1.0 - arb.ap[u])
-            for u in arb.order
-            if not in_seed[u]
-        }
-
-    # -- selection -------------------------------------------------------
 
     def _select(
         self,
@@ -208,72 +65,13 @@ class PMIA(IMAlgorithm):
         rng: np.random.Generator,
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
-        if self.engine == "flat":
-            return self._select_flat(graph, k, budget)
-        in_seed = np.zeros(graph.n, dtype=bool)
-        arbs: list[_Arborescence] = []
-        containing: list[set[int]] = [set() for __ in range(graph.n)]
-        for v in range(graph.n):
-            if v % 64 == 0:
-                self._tick(budget)
-            arb = build_miia(graph, v, self.theta)
-            idx = len(arbs)
-            arbs.append(arb)
-            for u in arb.order:
-                containing[u].add(idx)
+        """Batched MIIA builds + vectorized tree DPs.
 
-        inc_inf = np.zeros(graph.n, dtype=np.float64)
-        per_arb_gain: list[dict[int, float]] = []
-        for arb in arbs:
-            gains = self._gains(arb, in_seed)
-            per_arb_gain.append(gains)
-            for u, g in gains.items():
-                inc_inf[u] += g
-
-        seeds: list[int] = []
-        for __ in range(k):
-            self._tick(budget)
-            s = int(np.where(in_seed, -np.inf, inc_inf).argmax())
-            seeds.append(s)
-            in_seed[s] = True
-            # Prefix exclusion: rebuild every arborescence containing s
-            # with the updated seed set banned from interior positions.
-            for idx in sorted(containing[s]):
-                for u, g in per_arb_gain[idx].items():
-                    inc_inf[u] -= g
-                old_nodes = arbs[idx].nodes
-                rebuilt = build_miia(
-                    graph, arbs[idx].root, self.theta, blocked=in_seed
-                )
-                arbs[idx] = rebuilt
-                for u in old_nodes - rebuilt.nodes:
-                    containing[u].discard(idx)
-                for u in rebuilt.nodes - old_nodes:
-                    containing[u].add(idx)
-                gains = self._gains(rebuilt, in_seed)
-                per_arb_gain[idx] = gains
-                for u, g in gains.items():
-                    inc_inf[u] += g
-        return seeds, {
-            "theta": self.theta,
-            "avg_arborescence_size": float(
-                np.mean([len(a.order) for a in arbs])
-            ),
-        }
-
-    def _select_flat(
-        self,
-        graph: DiGraph,
-        k: int,
-        budget: Budget | None,
-    ) -> tuple[list[int], dict[str, Any]]:
-        """Engine path: batched MIIA builds + vectorized tree DPs.
-
-        Structurally the same greedy as the legacy loop — identical float
-        expressions in identical accumulation order — with the per-root
-        Dijkstra/dict walks replaced by the flat path-proxy engine and
-        each round's prefix-exclusion rebuild batched over the dirty
-        roots from the ``containing`` inverted index.
+        The arborescences come from the path-proxy engine and each
+        round's prefix-exclusion rebuild is one batched kernel call over
+        the dirty roots from the ``containing`` inverted index.  Float
+        expressions and accumulation order match the per-root dict/heap
+        loop in ``tests/reference``, so seeds are bit-identical to it.
         """
         def tick() -> None:
             self._tick(budget)
@@ -296,8 +94,8 @@ class PMIA(IMAlgorithm):
             dirty = store.dirty(s)
             store.rebuild(dirty, in_seed, tick=tick)
             new_gains = store.gains(dirty, in_seed)
-            # Swap contributions per structure in index order, exactly the
-            # legacy subtract-old / add-new interleaving.
+            # Swap contributions per structure in index order: subtract
+            # the old gains, add the new ones.
             for idx, (nodes, g) in zip(dirty, new_gains):
                 old_nodes, old_g = per_gain[idx]
                 np.subtract.at(inc_inf, old_nodes, old_g)

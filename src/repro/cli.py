@@ -38,7 +38,6 @@ from .framework import (
     execute_cell,
     recommend,
     render_report,
-    shards_env,
     summarize_trace,
     tune_parameter,
     write_trace,
@@ -110,10 +109,10 @@ def build_parser() -> argparse.ArgumentParser:
                           "sketch family")
     sel.add_argument("--path-workers", type=int, default=None, metavar="N",
                      help="processes for the path-proxy engine's batched "
-                          "structure builds; only meaningful for the path "
-                          "family (PMIA/LDAG/IRIE/SIMPATH), ignored "
-                          "elsewhere; the engine is deterministic, so the "
-                          "selected seeds are identical at any worker count")
+                          "structure builds; only meaningful for "
+                          "PMIA/LDAG/SIMPATH, ignored elsewhere; the engine "
+                          "is deterministic, so the selected seeds are "
+                          "identical at any worker count")
     sel.add_argument("--seed", type=int, default=0, help="RNG seed")
     sel.add_argument("--time-limit", type=float, default=None)
     sel.add_argument("--memory-limit-mb", type=float, default=None)
@@ -124,20 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--retries", type=int, default=1, metavar="N",
                      help="attempts for transient FAILED/KILLED cells, each "
                           "on a derived RNG (default 1 = no retry)")
-    sel.add_argument("--pool-retries", type=int, default=None, metavar="N",
-                     help="per-chunk retry budget for the resilient worker "
-                          "pool under any parallel engine (--rr-workers/"
-                          "--mc-workers/--path-workers); a chunk failing "
-                          "this many times is quarantined and the cell "
-                          "FAILED (default: REPRO_BENCH_POOL_RETRIES or 4)")
-    sel.add_argument("--shards", type=int, default=None, metavar="S",
-                     help="partition-aware shard count for the resilient "
-                          "worker pool's fan-out: chunks execute in S "
-                          "round-robin waves and the path engine groups "
-                          "sources by an edge-cut partition; pure "
-                          "scheduling, so seeds and spreads stay "
-                          "byte-identical at any S (default: "
-                          "REPRO_BENCH_SHARDS or 1)")
     sel.add_argument("--resume", default=None, metavar="JOURNAL",
                      help="JSONL checkpoint journal; a cell already recorded "
                           "there is not re-run")
@@ -176,9 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--cache-mb", type=float, default=256.0, metavar="MB",
                        help="byte budget for warm artifacts (RR pools, "
                             "oracles, selections); 0 = unbounded")
-    serve.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="executor threads for engine work (1 keeps "
-                            "per-phase engine telemetry)")
     serve.add_argument("--coalesce-ms", type=float, default=2.0, metavar="MS",
                        help="window for batching concurrent sigma queries "
                             "into one oracle evaluation")
@@ -264,8 +246,6 @@ def _cmd_select(args) -> int:
                 memory_limit_mb=args.memory_limit_mb,
                 track_memory=args.memory_limit_mb is not None,
                 telemetry=tele is not None,
-                pool_retries=args.pool_retries,
-                shards=args.shards,
             ),
             retry=RetryPolicy(max_attempts=max(1, args.retries)),
         )
@@ -286,7 +266,7 @@ def _cmd_select(args) -> int:
             write_trace(args.trace, tele.snapshot(), cell=key, record=record)
             print(f"trace     : {args.trace}")
         return 1
-    with activate(tele) as t, t.span("score"), shards_env(args.shards):
+    with activate(tele) as t, t.span("score"):
         estimate = diffusion.monte_carlo_spread(
             graph, record.seeds, model, r=args.mc,
             rng=np.random.default_rng(args.seed + 1),
@@ -336,7 +316,6 @@ def _cmd_serve(args) -> int:
         datasets=datasets_opt,
         catalog_dir=args.catalog_dir,
         cache_bytes=cache_bytes,
-        workers=args.workers,
         coalesce_ms=args.coalesce_ms,
         default_worlds=args.worlds,
         default_oracle=args.oracle,

@@ -54,8 +54,7 @@ from .opinion import (
     monte_carlo_opinion_spread,
     simulate_opinion_spread,
 )
-from .rrpool import FlatRRPool
-from .rrsets import RRCollection, greedy_max_cover, greedy_max_cover_legacy, random_rr_set
+from .rrpool import FlatRRPool, greedy_max_cover, random_rr_set
 
 __all__ = [
     "IC",
@@ -104,8 +103,6 @@ __all__ = [
     "batched_max_prob_paths",
     "build_dag_store",
     "build_tree_store",
-    "RRCollection",
     "greedy_max_cover",
-    "greedy_max_cover_legacy",
     "random_rr_set",
 ]

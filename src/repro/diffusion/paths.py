@@ -3,12 +3,14 @@
 The proxy-based techniques all start from the same primitive: bounded
 max-product Dijkstra — the best path-propagation probability ``pp`` from a
 source to every node whose product stays above a threshold (θ of PMIA,
-η of LDAG, the 1/320 AP cutoff of IRIE's IE step).  The legacy helpers
-(`max_probability_paths`, ``build_miia``, ``build_ldag``) run one Python
-``dict`` + ``heapq`` loop per source; this module replaces them with a
-**batched frontier-relaxation kernel** processing many sources per call
-over the shared CSR gathers, plus flat **local-structure stores** whose
-ap/alpha dynamic programs are vectorized array sweeps.
+η of LDAG, the 1/320 AP cutoff of IRIE's IE step).  The original
+implementations (``max_probability_paths``, ``build_miia``,
+``build_ldag``, kept under ``tests/reference`` as equivalence oracles)
+run one Python ``dict`` + ``heapq`` loop per source; this module
+replaces them with a **batched frontier-relaxation kernel** processing
+many sources per call over the shared CSR gathers, plus flat
+**local-structure stores** whose ap/alpha dynamic programs are
+vectorized array sweeps.
 
 Exactness guarantees (the engine is a drop-in, not an approximation):
 
@@ -387,46 +389,6 @@ def _worker_chunks(count: int, workers: int) -> list[tuple[int, int]]:
     return [(int(e - s), int(e)) for s, e in zip(sizes, ends)]
 
 
-def _partition_permutation(graph, items: np.ndarray) -> np.ndarray | None:
-    """Stable permutation grouping ``items`` by edge-cut shard label.
-
-    Active only when sharding is armed (``REPRO_BENCH_SHARDS`` > 1):
-    sources that live in the same graph region land in the same chunks,
-    so each shard's workers touch a smaller slice of the shared CSR.
-    Safe because every kernel row is computed independently of its batch
-    companions — regrouping changes scheduling, never values — and the
-    caller scatters rows back to input order, keeping the result
-    byte-identical to the ungrouped run (pinned by the sharding suite).
-    """
-    from ..framework.pool import PoolConfig  # lazy: import cycle
-
-    shards = PoolConfig.from_env().shards
-    if shards <= 1 or len(items) <= shards:
-        return None
-    from ..graph.partition import edge_cut_partition
-
-    labels = edge_cut_partition(graph, shards)
-    _tele().count("paths.partition_grouped", len(items))
-    return np.argsort(labels[items], kind="stable")
-
-
-def _gather_rows(merged: tuple[np.ndarray, ...], order: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Reorder the rows of a flat kernel result to ``order``.
-
-    ``merged`` is ``(ptr, node, pp, parent_pos, parent_w, first_rank)``;
-    all payload fields are row-local (positions index within the row's
-    slice), so a pure row gather is exact.
-    """
-    ptr = merged[0]
-    lens = np.diff(ptr)[order]
-    new_ptr = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
-    idx = (
-        np.repeat(ptr[:-1][order] - new_ptr[:-1], lens)
-        + np.arange(int(new_ptr[-1]), dtype=np.int64)
-    )
-    return tuple([new_ptr] + [merged[j][idx] for j in range(1, len(merged))])
-
-
 def batched_max_prob_paths(
     graph,
     sources,
@@ -453,11 +415,7 @@ def batched_max_prob_paths(
         if workers is not None and workers > 1 and len(sources) > 1:
             from ..framework.pool import run_chunks  # lazy: import cycle
 
-            # Partition-aware sharding: group sources by shard label so
-            # chunks have CSR locality, then scatter the rows back.
-            perm = _partition_permutation(graph, sources)
-            run_sources = sources if perm is None else sources[perm]
-            spans = _worker_chunks(len(run_sources), workers)
+            spans = _worker_chunks(len(sources), workers)
             tele.count("paths.worker_chunks", len(spans))
             # The kernel is deterministic, so the resilient pool can
             # replay a lost chunk exactly; parts merge in span order.
@@ -465,7 +423,7 @@ def batched_max_prob_paths(
             # ride the shared-args transport (shm arena when big enough).
             parts = run_chunks(
                 _kernel_chunk,
-                [(run_sources[lo:hi],) for lo, hi in spans],
+                [(sources[lo:hi],) for lo, hi in spans],
                 workers=len(spans),
                 label="paths.dijkstra_batch",
                 tick=tick,
@@ -477,10 +435,6 @@ def batched_max_prob_paths(
             merged = tuple([np.concatenate(ptrs)] + [
                 np.concatenate([part[j] for part in parts]) for j in range(1, 6)
             ])
-            if perm is not None:
-                inverse = np.empty_like(perm)
-                inverse[perm] = np.arange(perm.size, dtype=np.int64)
-                merged = _gather_rows(merged, inverse)
         else:
             merged = _kernel_chunk(graph, threshold, reverse, blocked, sources)
             if tick is not None:
@@ -907,30 +861,19 @@ def build_dag_store(
         if workers is not None and workers > 1 and graph.n > 1:
             from ..framework.pool import run_chunks  # lazy: import cycle
 
-            # Same partition grouping + scatter-back as the tree build:
-            # per-root results are batch-independent, so only scheduling
-            # changes and the store comes out byte-identical.
-            perm = _partition_permutation(graph, roots)
-            run_roots = roots if perm is None else roots[perm]
             spans = _worker_chunks(graph.n, workers)
             tele.count("paths.worker_chunks", len(spans))
             parts = run_chunks(
                 _dag_chunk,
-                [(run_roots[lo:hi],) for lo, hi in spans],
+                [(roots[lo:hi],) for lo, hi in spans],
                 workers=len(spans),
                 label="paths.build_structures",
                 tick=tick,
                 shared=(graph, eta),
             )
-            built: list[LocalDag] = []
+            dags: list[LocalDag] = []
             for (lo, hi), (flat, edges) in zip(spans, parts):
-                built.extend(_dags_from_chunk(run_roots[lo:hi], flat, edges))
-            if perm is None:
-                dags = built
-            else:
-                dags = [built[0]] * len(built)
-                for j, dag in enumerate(built):
-                    dags[int(perm[j])] = dag
+                dags.extend(_dags_from_chunk(roots[lo:hi], flat, edges))
         else:
             flat, edges = _dag_chunk(graph, eta, roots)
             dags = _dags_from_chunk(roots, flat, edges)

@@ -27,7 +27,7 @@ draw from different streams and agree only distributionally (see
 int64 array updated with ``np.bincount`` over the members of newly
 covered sets, so an iteration costs array ops instead of nested Python
 loops.  It is seed-for-seed identical to the legacy list-based cover
-(kept in :mod:`repro.diffusion.rrsets` as the reference implementation).
+(kept under ``tests/reference`` as the equivalence oracle).
 """
 
 from __future__ import annotations

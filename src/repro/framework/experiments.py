@@ -62,7 +62,7 @@ class SweepConfig:
     mc_workers: int | None = None
     mc_batch: int | None = None
     #: Process-pool fan-out for the path-proxy engine's structure builds
-    #: (PMIA / LDAG / IRIE / SIMPATH).  The batched kernel is
+    #: (PMIA / LDAG / SIMPATH).  The batched kernel is
     #: deterministic, so results are identical at any worker count —
     #: unlike ``rr_workers``, the value never invalidates journal cells.
     path_workers: int | None = None

@@ -56,7 +56,6 @@ from .metrics import (
     RunRecord,
     run_with_budget,
 )
-from .pool import pool_retries_env, shards_env
 from .results import _jsonable
 from .telemetry import Telemetry
 
@@ -140,18 +139,6 @@ class IsolationConfig:
     grace_seconds: float = 2.0
     #: multiprocessing start method; None picks fork where available.
     start_method: str | None = None
-    #: Per-chunk retry budget for the resilient worker pool any engine
-    #: opens inside this cell (``None`` keeps the pool's env default,
-    #: ``REPRO_BENCH_POOL_RETRIES``).  A chunk still failing after this
-    #: many attributable attempts is quarantined and the cell maps to
-    #: ``FAILED`` with the poison chunk identified in
-    #: ``extras["failure"]["pool"]``.
-    pool_retries: int | None = None
-    #: Shard count for the resilient worker pool's partition-aware fan-out
-    #: inside this cell (``None`` keeps the pool's env default,
-    #: ``REPRO_BENCH_SHARDS``).  Sharding is a scheduling decision only —
-    #: results stay byte-identical at any shard count.
-    shards: int | None = None
 
 
 @dataclass(frozen=True)
@@ -240,24 +227,21 @@ def _isolated_worker(
     memory_limit_mb: float | None,
     track_memory: bool,
     telemetry: bool = False,
-    pool_retries: int | None = None,
-    shards: int | None = None,
 ) -> None:
     """Run one cell in the child and ship a plain-dict payload back."""
     try:
         enforcement = _set_memory_rlimit(memory_limit_mb)
-        with pool_retries_env(pool_retries), shards_env(shards):
-            record, result = run_with_budget(
-                algorithm,
-                graph,
-                k,
-                model,
-                rng=rng,
-                time_limit_seconds=time_limit_seconds,
-                memory_limit_mb=memory_limit_mb,
-                track_memory=track_memory or memory_limit_mb is not None,
-                telemetry=Telemetry(label=algorithm.name) if telemetry else None,
-            )
+        record, result = run_with_budget(
+            algorithm,
+            graph,
+            k,
+            model,
+            rng=rng,
+            time_limit_seconds=time_limit_seconds,
+            memory_limit_mb=memory_limit_mb,
+            track_memory=track_memory or memory_limit_mb is not None,
+            telemetry=Telemetry(label=algorithm.name) if telemetry else None,
+        )
         if memory_limit_mb is not None:
             record.extras["memory_enforcement"] = enforcement or "tracemalloc"
         payload = {
@@ -313,21 +297,17 @@ class IsolatedExecutor:
         rng = np.random.default_rng() if rng is None else rng
         cfg = self.config
         if not cfg.enabled or not isolation_supported(cfg.start_method):
-            with pool_retries_env(cfg.pool_retries), shards_env(cfg.shards):
-                return run_with_budget(
-                    algorithm,
-                    graph,
-                    k,
-                    model,
-                    rng=rng,
-                    time_limit_seconds=cfg.time_limit_seconds,
-                    memory_limit_mb=cfg.memory_limit_mb,
-                    track_memory=cfg.track_memory
-                    or cfg.memory_limit_mb is not None,
-                    telemetry=Telemetry(label=algorithm.name)
-                    if cfg.telemetry
-                    else None,
-                )
+            return run_with_budget(
+                algorithm,
+                graph,
+                k,
+                model,
+                rng=rng,
+                time_limit_seconds=cfg.time_limit_seconds,
+                memory_limit_mb=cfg.memory_limit_mb,
+                track_memory=cfg.track_memory or cfg.memory_limit_mb is not None,
+                telemetry=Telemetry(label=algorithm.name) if cfg.telemetry else None,
+            )
         ctx = mp.get_context(cfg.start_method or _default_start_method())
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         proc = ctx.Process(
@@ -335,7 +315,7 @@ class IsolatedExecutor:
             args=(
                 send_conn, algorithm, graph, k, model, rng,
                 cfg.time_limit_seconds, cfg.memory_limit_mb, cfg.track_memory,
-                cfg.telemetry, cfg.pool_retries, cfg.shards,
+                cfg.telemetry,
             ),
             daemon=True,
         )

@@ -53,17 +53,6 @@ graph size.  The arena is torn down in a ``finally`` so every exit path
 — completion, quarantine, interrupt, serial downgrade — unlinks its
 segments.
 
-**Sharding.**  ``REPRO_BENCH_SHARDS`` / :func:`shards_env` split a
-fan-out into round-robin buckets of chunk indices executed bucket by
-bucket through the same recovery machinery (shared restart budget).
-Sharding is a pure *scheduling* layer: chunk contents are untouched and
-results still commit by chunk index, so a sharded run is byte-identical
-to an unsharded one — it just bounds how many chunks are in flight, so
-concurrent sweeps or graphs bigger than one worker set's budget can
-time-share the machine.  Locality-aware chunk *composition* (grouping
-sources by graph partition) lives with the engines that can prove it
-result-invariant (see :func:`repro.diffusion.paths.batched_max_prob_paths`).
-
 :class:`ChunkFaultInjector` is the test harness: rate-controlled
 kill / hang / corrupt / raise faults, armed through ``REPRO_FAULT_*``
 environment variables so they reach the worker wrapper in any process.
@@ -87,9 +76,8 @@ import time
 import zlib
 from concurrent.futures import FIRST_COMPLETED, Future, wait
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from . import telemetry as _telemetry
 
@@ -102,8 +90,6 @@ __all__ = [
     "run_chunks",
     "ChunkFaultInjector",
     "FaultSpec",
-    "pool_retries_env",
-    "shards_env",
 ]
 
 
@@ -131,15 +117,14 @@ def _env_float(name: str, default: float | None) -> float | None:
 class PoolConfig:
     """Resilience knobs for one :class:`ResilientPool` run.
 
-    Defaults come from the environment so a long sweep (or an isolated
-    child re-running a cell) can be tuned without threading a config
-    through every engine constructor:
+    Defaults come from the environment, read each time a pool is built
+    (in whichever process builds it), so a long sweep can be tuned
+    without threading a config through every engine constructor:
 
     * ``REPRO_BENCH_POOL_RETRIES`` → :attr:`retries`
     * ``REPRO_POOL_MAX_RESTARTS``  → :attr:`max_restarts`
     * ``REPRO_POOL_STALL_TIMEOUT`` → :attr:`stall_timeout_seconds`
     * ``REPRO_POOL_BACKOFF``       → :attr:`backoff_seconds`
-    * ``REPRO_BENCH_SHARDS``       → :attr:`shards`
     """
 
     #: Attributable failures (chunk exception, corrupt result) tolerated
@@ -155,9 +140,6 @@ class PoolConfig:
     backoff_seconds: float = 0.05
     #: Seconds to wait for a terminated worker before SIGKILL.
     grace_seconds: float = 1.0
-    #: Round-robin buckets a fan-out is split into (1 disables sharding).
-    #: Pure scheduling — results are byte-identical at any shard count.
-    shards: int = 1
 
     @classmethod
     def from_env(cls) -> "PoolConfig":
@@ -167,54 +149,7 @@ class PoolConfig:
             stall_timeout_seconds=_env_float("REPRO_POOL_STALL_TIMEOUT", None),
             backoff_seconds=_env_float("REPRO_POOL_BACKOFF", cls.backoff_seconds)
             or cls.backoff_seconds,
-            shards=max(1, _env_int("REPRO_BENCH_SHARDS", cls.shards)),
         )
-
-
-@contextmanager
-def pool_retries_env(retries: int | None) -> Iterator[None]:
-    """Scoped override of ``REPRO_BENCH_POOL_RETRIES`` (no-op for ``None``).
-
-    Environment-based so it reaches pools opened anywhere below the
-    current frame — including inside an isolated child, where the
-    executor applies it before running the cell.
-    """
-    if retries is None:
-        yield
-        return
-    key = "REPRO_BENCH_POOL_RETRIES"
-    previous = os.environ.get(key)
-    os.environ[key] = str(int(retries))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = previous
-
-
-@contextmanager
-def shards_env(shards: int | None) -> Iterator[None]:
-    """Scoped override of ``REPRO_BENCH_SHARDS`` (no-op for ``None``).
-
-    Same environment-based scoping as :func:`pool_retries_env`, so the
-    shard count reaches every pool opened below the current frame —
-    including the engines' lazily-opened fan-outs and isolated children.
-    """
-    if shards is None:
-        yield
-        return
-    key = "REPRO_BENCH_SHARDS"
-    previous = os.environ.get(key)
-    os.environ[key] = str(int(shards))
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(key, None)
-        else:
-            os.environ[key] = previous
 
 
 # ----------------------------------------------------------------------
@@ -476,14 +411,6 @@ class ResilientPool:
         tele = _telemetry.current()
         spec = active_fault_spec()
         tele.count("pool.chunks", n)
-        shards = max(1, min(int(cfg.shards), n))
-        if shards > 1:
-            tele.count("pool.shards", shards)
-        # Round-robin buckets of chunk indices, executed bucket by bucket
-        # through the same recovery ladder.  Chunk contents and commit
-        # order are untouched, so output is byte-identical at any shard
-        # count — sharding only bounds how many chunks are in flight.
-        buckets = [list(range(s, n, shards)) for s in range(shards)]
         payload, arena = shared, None
         if shared:
             from . import shm as _shm  # lazy: pickle-only pools skip numpy
@@ -493,39 +420,35 @@ class ResilientPool:
         attempts = [0] * n  # total executions started (varies fault draws)
         failures = [0] * n  # attributable failures (counts toward quarantine)
         restarts = 0
+        remaining = set(range(n))
         try:
-            for bucket in buckets:
-                remaining = set(bucket)
-                while remaining:
-                    if restarts > cfg.max_restarts:
-                        tele.count("pool.serial_downgrades")
-                        serial = self._run_serial(
-                            fn, arg_tuples, sorted(remaining), tick,
-                            downgrade=True, shared=shared,
-                        )
-                        for i, value in zip(sorted(remaining), serial):
-                            results[i] = value
-                        break
-                    executor = self._spawn_executor(
-                        min(workers, len(remaining)), shared, payload
+            while remaining:
+                if restarts > cfg.max_restarts:
+                    tele.count("pool.serial_downgrades")
+                    serial = self._run_serial(
+                        fn, arg_tuples, sorted(remaining), tick,
+                        downgrade=True, shared=shared,
                     )
-                    try:
-                        collapsed = self._drain(
-                            executor, fn, arg_tuples, spec,
-                            results, attempts, failures, remaining, tick,
-                            has_shared=bool(shared),
-                        )
-                    except BaseException:
-                        self._shutdown(executor, force=True)
-                        raise
-                    self._shutdown(executor, force=collapsed)
-                    if collapsed and remaining:
-                        restarts += 1
-                        tele.count("pool.worker_restarts")
-                        tele.count(
-                            "pool.chunks_salvaged",
-                            len(bucket) - len(remaining),
-                        )
+                    for i, value in zip(sorted(remaining), serial):
+                        results[i] = value
+                    break
+                executor = self._spawn_executor(
+                    min(workers, len(remaining)), shared, payload
+                )
+                try:
+                    collapsed = self._drain(
+                        executor, fn, arg_tuples, spec,
+                        results, attempts, failures, remaining, tick,
+                        has_shared=bool(shared),
+                    )
+                except BaseException:
+                    self._shutdown(executor, force=True)
+                    raise
+                self._shutdown(executor, force=collapsed)
+                if collapsed and remaining:
+                    restarts += 1
+                    tele.count("pool.worker_restarts")
+                    tele.count("pool.chunks_salvaged", n - len(remaining))
         finally:
             if arena is not None:
                 # Unlink on every exit path (interrupt included); workers

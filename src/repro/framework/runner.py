@@ -131,13 +131,13 @@ class IMFramework:
         each journal cell key.
     path_workers:
         When > 1, injected into every technique that accepts it (the
-        path-proxy family: PMIA / LDAG / IRIE / SIMPATH), fanning the
-        batched structure builds over a process pool.  The path engine
-        is deterministic — results are identical at any worker count —
-        so, unlike ``rr_workers``, the value carries no journal-key
-        implications (it still lands in the spectrum params, which is
-        harmless but means cells journaled with and without fan-out are
-        keyed apart).
+        path-proxy builders PMIA / LDAG / SIMPATH; IRIE's single-source
+        IE step has nothing to fan out), spreading the batched structure
+        builds over a process pool.  The path engine is deterministic —
+        results are identical at any worker count — so, unlike
+        ``rr_workers``, the value carries no journal-key implications (it
+        still lands in the spectrum params, which is harmless but means
+        cells journaled with and without fan-out are keyed apart).
     telemetry:
         Optional :class:`~repro.framework.telemetry.Telemetry` session
         handle.  When given, every selection pass collects per-phase

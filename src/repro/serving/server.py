@@ -25,17 +25,16 @@ no dependencies):
 Plus ``ping`` / ``catalog`` / ``stats`` / ``shutdown`` housekeeping.
 
 Failure semantics: a bad request errors only its own response envelope
-(``ok: false`` with a message); the connection and server live on.  An
+(``ok: false`` with a message); the connection and server live on.  A
+request line longer than :data:`MAX_REQUEST_BYTES` is the exception: it
+gets one ``RequestTooLarge`` envelope and its connection is closed,
+since the rest of the line cannot be framed without buffering it.  An
 artifact build is single-flighted — concurrent cold requests for the
-same key share one construction.  Heavy work runs on a thread executor
-(``workers`` threads); with the default single worker, engine telemetry
-(``oracle.*``, ``rrpool.*`` spans/counters) is collected per task and
-folded into the server's handle, so ``repro trace`` shows engine cost
-under each ``serving.*`` phase.  With ``workers > 1`` engine-internal
-telemetry is skipped (the ambient handle is process-global and its span
-stack is not thread-safe); per-artifact locks still serialize access to
-any one oracle, so results are unaffected — only attribution coarsens
-to the ``serving.*`` layer.
+same key share one construction.  Heavy work runs on one executor
+thread, so engine code never runs concurrently with itself; each task
+collects engine telemetry (``oracle.*``, ``rrpool.*`` spans/counters)
+under its own handle, folded into the server's handle so ``repro trace``
+shows engine cost under each ``serving.*`` phase.
 """
 
 from __future__ import annotations
@@ -56,6 +55,7 @@ from .catalog import ServingCatalog
 
 __all__ = [
     "DEFAULT_PORT",
+    "MAX_REQUEST_BYTES",
     "ServingConfig",
     "ServingRequestError",
     "InfluenceServer",
@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 DEFAULT_PORT = 7477
+
+#: Longest request line the server reads, in bytes (asyncio's default is
+#: 64 KiB, a few thousand seed ids).
+MAX_REQUEST_BYTES = 1 << 20
+
+#: Seconds an over-limit connection may go on sending after its
+#: ``RequestTooLarge`` envelope before the server stops reading it.
+_LINGER_SECONDS = 2.0
 
 #: σ backends a resident server may use: repeated queries must return
 #: identical answers, so the stateful shared-stream serial backend is out.
@@ -84,7 +92,6 @@ class ServingConfig:
     datasets: tuple[str, ...] | None = None
     catalog_dir: str | None = None
     cache_bytes: int | None = 256 << 20
-    workers: int = 1
     coalesce_ms: float = 2.0
     default_worlds: int = 200
     default_oracle: str = "snapshot"
@@ -105,19 +112,16 @@ class InfluenceServer:
 
     def __init__(self, config: ServingConfig | None = None) -> None:
         self.config = config or ServingConfig()
-        if self.config.workers < 1:
-            raise ValueError("workers must be positive")
         self.telemetry = Telemetry(label="serving")
         self.catalog = ServingCatalog(
             datasets=self.config.datasets, catalog_dir=self.config.catalog_dir
         )
         self.cache = ArtifactLRU(self.config.cache_bytes, telemetry=self.telemetry)
+        # One thread: the engines and the ambient telemetry handle they
+        # report to are not thread-safe.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.workers, thread_name_prefix="repro-serve"
+            max_workers=1, thread_name_prefix="repro-serve"
         )
-        # Engine-internal telemetry needs the ambient handle, which is
-        # process-global: only safe with a single executor thread.
-        self._engine_telemetry = self.config.workers == 1
         self._builds: dict[str, asyncio.Future] = {}
         self._batches: dict[str, _SigmaBatch] = {}
         self._locks: dict[str, asyncio.Lock] = {}
@@ -137,7 +141,8 @@ class InfluenceServer:
         self._absorb_span("serving.catalog_load", time.perf_counter() - started)
         self.telemetry.count("serving.catalog_bytes", loaded)
         self._server = await asyncio.start_server(
-            self._on_client, self.config.host, self.config.port
+            self._on_client, self.config.host, self.config.port,
+            limit=MAX_REQUEST_BYTES,
         )
         self.port = int(self._server.sockets[0].getsockname()[1])
         self._started_at = time.monotonic()
@@ -177,10 +182,14 @@ class InfluenceServer:
     ) -> None:
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
-        cancelled = False
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:  # longer than MAX_REQUEST_BYTES
+                    await asyncio.gather(*tasks, return_exceptions=True)
+                    await self._reject_oversized(reader, writer)
+                    break
                 if not line:
                     break
                 # One task per request line: pipelined requests on one
@@ -190,27 +199,51 @@ class InfluenceServer:
                 )
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
+            await asyncio.gather(*tasks, return_exceptions=True)
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         except asyncio.CancelledError:
             # Server torn down mid-connection: drop in-flight requests.
-            cancelled = True
+            # Not re-raised: on Python 3.10/3.11 a connection task that
+            # ends cancelled makes asyncio log a spurious traceback.
+            for task in tasks:
+                task.cancel()
         finally:
-            if tasks:
-                if cancelled:
-                    for task in tasks:
-                        task.cancel()
-                try:
-                    await asyncio.gather(*tasks, return_exceptions=True)
-                except asyncio.CancelledError:  # pragma: no cover
-                    pass
-            try:
-                writer.close()
-                if not cancelled:
-                    # The loop is closing on cancellation; don't re-await.
-                    await writer.wait_closed()
-            except Exception:  # pragma: no cover - best-effort close
+            # No ``await writer.wait_closed()``: shutdown could cancel
+            # the task there, past the handler above.
+            writer.close()
+
+    async def _reject_oversized(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Answer an over-limit line with one envelope, then EOF.
+
+        The rest of the input is read and dropped until the client hangs
+        up (or ``_LINGER_SECONDS`` pass): closing a socket with unread
+        input resets it, which can destroy the envelope in flight.
+        """
+        self.telemetry.count("serving.errors")
+        response = {
+            "id": None,
+            "ok": False,
+            "error": {
+                "type": "RequestTooLarge",
+                "message": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+            },
+        }
+        writer.write((json.dumps(response) + "\n").encode())
+        if writer.can_write_eof():
+            writer.write_eof()
+        await writer.drain()
+
+        async def discard() -> None:
+            while await reader.read(1 << 16):
                 pass
+
+        try:
+            await asyncio.wait_for(discard(), _LINGER_SECONDS)
+        except asyncio.TimeoutError:
+            pass
 
     async def _handle_line(
         self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
@@ -281,7 +314,6 @@ class InfluenceServer:
             "cache": self.cache.stats(),
             "counters": dict(self.telemetry.counters),
             "uptime_seconds": float(uptime),
-            "workers": self.config.workers,
         }
 
     async def _op_shutdown(self, request: dict) -> str:
@@ -552,22 +584,18 @@ class InfluenceServer:
     async def _run_engine(self, label: str | None, fn: Callable[[], Any]):
         """Run blocking engine work on the executor, fold telemetry back.
 
-        With a single worker the task runs under its own collecting
-        handle; its spans land as children of ``label`` in the server's
-        tree, so ``repro trace`` shows engine phases under each serving
-        phase.
+        The task runs under its own collecting handle; its spans land as
+        children of ``label`` in the server's tree, so ``repro trace``
+        shows engine phases under each serving phase.
         """
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
-        if self._engine_telemetry:
-            def call():
-                handle = Telemetry()
-                with activate(handle):
-                    value = fn()
-                return value, handle.snapshot()
-        else:
-            def call():
-                return fn(), None
+
+        def call():
+            handle = Telemetry()
+            with activate(handle):
+                value = fn()
+            return value, handle.snapshot()
 
         value, snapshot = await loop.run_in_executor(self._executor, call)
         if label is not None:
@@ -624,8 +652,7 @@ def run_server(
             announce(
                 f"serving {', '.join(server.catalog.names())} on "
                 f"{server.host}:{server.port} "
-                f"(cache {server.config.cache_bytes or 'unbounded'} bytes, "
-                f"{server.config.workers} worker(s))"
+                f"(cache {server.config.cache_bytes or 'unbounded'} bytes)"
             )
         try:
             await server.wait_stopped()

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.ldag import LDAG, build_ldag
+from repro.algorithms.ldag import LDAG
 from repro.diffusion.models import IC, LT
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_lt_spread
+from tests.reference import LegacyLDAG, build_ldag
 
 
 @pytest.fixture
@@ -55,7 +56,7 @@ class TestActivationProbability:
         dag = build_ldag(lt_chain, 2, eta=1 / 320)
         in_seed = np.zeros(3, dtype=bool)
         in_seed[0] = True
-        LDAG._forward_ap(dag, in_seed)
+        LegacyLDAG._forward_ap(dag, in_seed)
         assert dag.ap[0] == 1.0
         assert dag.ap[1] == pytest.approx(1.0)
         assert dag.ap[2] == pytest.approx(1.0)
@@ -65,7 +66,7 @@ class TestActivationProbability:
         dag = build_ldag(g, 2, eta=0.01)
         in_seed = np.zeros(3, dtype=bool)
         in_seed[0] = True
-        LDAG._forward_ap(dag, in_seed)
+        LegacyLDAG._forward_ap(dag, in_seed)
         assert dag.ap[1] == pytest.approx(0.5)
         assert dag.ap[2] == pytest.approx(0.2)
 
@@ -73,7 +74,7 @@ class TestActivationProbability:
         g = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[0.5, 0.4])
         dag = build_ldag(g, 2, eta=0.01)
         in_seed = np.zeros(3, dtype=bool)
-        LDAG._backward_alpha(dag, in_seed)
+        LegacyLDAG._backward_alpha(dag, in_seed)
         assert dag.alpha[2] == 1.0
         assert dag.alpha[1] == pytest.approx(0.4)
         assert dag.alpha[0] == pytest.approx(0.2)
@@ -83,14 +84,14 @@ class TestActivationProbability:
         dag = build_ldag(g, 2, eta=0.01)
         in_seed = np.zeros(3, dtype=bool)
         in_seed[1] = True
-        LDAG._backward_alpha(dag, in_seed)
+        LegacyLDAG._backward_alpha(dag, in_seed)
         assert dag.alpha[0] == 0.0  # influence to 2 only flows through seed 1
 
     def test_alpha_zero_when_root_seeded(self, lt_chain):
         dag = build_ldag(lt_chain, 2, eta=0.01)
         in_seed = np.zeros(3, dtype=bool)
         in_seed[2] = True
-        LDAG._backward_alpha(dag, in_seed)
+        LegacyLDAG._backward_alpha(dag, in_seed)
         assert all(a == 0.0 for a in dag.alpha.values())
 
 

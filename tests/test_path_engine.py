@@ -1,4 +1,4 @@
-"""The vectorized path-proxy engine vs the legacy dict/heap helpers.
+"""The vectorized path-proxy engine vs the dict/heap loops it replaced.
 
 The engine promises *exact* equivalence (bitwise pp, identical settle
 order, identical parents), so every comparison here is ``==`` — no
@@ -10,19 +10,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.irie import IRIE, max_probability_paths
-from repro.algorithms.ldag import LDAG, build_ldag
-from repro.algorithms.pmia import PMIA, build_miia
+from repro.algorithms.irie import IRIE
+from repro.algorithms.ldag import LDAG
+from repro.algorithms.pmia import PMIA
 from repro.diffusion.models import WC, LT
 from repro.diffusion.paths import (
     DagStore,
     PathBatch,
     TreeStore,
+    _kernel_chunk,
     batched_max_prob_paths,
     build_dag_store,
     build_tree_store,
 )
 from repro.graph.digraph import DiGraph
+from repro.graph.generators import build, powerlaw_configuration
+from tests.reference import (
+    LegacyIRIE,
+    LegacyLDAG,
+    LegacyPMIA,
+    build_ldag,
+    build_miia,
+    max_probability_paths,
+)
 
 THETA = 1.0 / 320.0
 
@@ -142,6 +152,23 @@ class TestKernelVsLegacy:
         ):
             np.testing.assert_array_equal(a, b)
 
+    def test_kernel_rows_independent_of_batch_composition(self):
+        # Each row of the batched kernel is a pure function of its own
+        # source, which is what lets the kernel split sources into dense
+        # batches and worker chunks and concatenate the rows.
+        rng = np.random.default_rng(7)
+        graph = WC.weighted(build(powerlaw_configuration(120, 2.3, 4.0, rng)), rng)
+        sources = np.array([3, 17, 42, 80], dtype=np.int64)
+        together = _kernel_chunk(graph, 0.01, True, None, sources)
+        ptr = together[0]
+        for i, s in enumerate(sources):
+            alone = _kernel_chunk(
+                graph, 0.01, True, None, np.array([s], dtype=np.int64)
+            )
+            sl = slice(int(ptr[i]), int(ptr[i + 1]))
+            for j in range(1, 6):
+                assert np.array_equal(together[j][sl], alone[j])
+
     def test_batch_shape_invariants(self, two_cliques):
         sources = np.arange(two_cliques.n)
         batch = batched_max_prob_paths(two_cliques, sources, THETA)
@@ -219,8 +246,8 @@ class TestTreeStore:
             store.gains(list(range(len(store))), in_seed)
         ):
             arb = build_miia(g, store.structures[i].root, THETA)
-            PMIA._forward_ap(arb, in_seed)
-            PMIA._backward_alpha(arb, in_seed)
+            LegacyPMIA._forward_ap(arb, in_seed)
+            LegacyPMIA._backward_alpha(arb, in_seed)
             legacy = {
                 u: arb.alpha[u] * (1.0 - arb.ap[u])
                 for u in arb.order if not in_seed[u]
@@ -286,7 +313,7 @@ class TestDagStore:
         store = build_dag_store(g, THETA)
         in_seed = np.zeros(g.n, dtype=bool)
         in_seed[[2, 9]] = True
-        ldag = LDAG(eta=THETA)
+        ldag = LegacyLDAG(eta=THETA)
         for i, (nodes, gains) in enumerate(
             store.gains(list(range(len(store))), in_seed)
         ):
@@ -325,11 +352,15 @@ class TestEngineSelectionParity:
         )
         return model.weighted(g)
 
+    LEGACY = {PMIA: LegacyPMIA, LDAG: LegacyLDAG, IRIE: LegacyIRIE}
+
     @pytest.mark.parametrize("cls,model", [(PMIA, WC), (LDAG, LT), (IRIE, WC)])
     def test_flat_equals_legacy(self, cls, model):
         g = self.graph(model)
-        flat = cls(engine="flat").select(g, 8, model, rng=np.random.default_rng(0))
-        legacy = cls(engine="legacy").select(g, 8, model, rng=np.random.default_rng(0))
+        flat = cls().select(g, 8, model, rng=np.random.default_rng(0))
+        legacy = self.LEGACY[cls]().select(
+            g, 8, model, rng=np.random.default_rng(0)
+        )
         assert flat.seeds == legacy.seeds
 
 
@@ -346,8 +377,6 @@ class TestIRIETieBreak:
                 edges += [(u, v), (v, u)]
                 ws += [0.25, 0.25]
         g = DiGraph.from_edges(6, edges, weights=ws)
-        for engine in ("flat", "legacy"):
-            res = IRIE(engine=engine).select(
-                g, 2, WC, rng=np.random.default_rng(0)
-            )
+        for cls in (IRIE, LegacyIRIE):
+            res = cls().select(g, 2, WC, rng=np.random.default_rng(0))
             assert res.seeds == [0, 3]

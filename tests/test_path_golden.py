@@ -1,4 +1,5 @@
-"""Golden seed sets for the path-proxy family, pinned on both engines.
+"""Golden seed sets for the path-proxy family, pinned on the engine and
+on the reference loops in ``tests/reference``.
 
 The reference graph is deterministic (fixed generator + weighting seeds),
 and the four techniques are deterministic given the graph — so these
@@ -16,6 +17,7 @@ from repro.algorithms.simpath import SIMPATH
 from repro.diffusion.models import IC, WC, LT
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import preferential_attachment
+from tests.reference import LegacyIRIE, LegacyLDAG, LegacyPMIA
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,10 @@ GOLDEN = {
 }
 
 MODELS = {"WC": WC, "LT": LT}
-CLASSES = {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE}
+CLASSES = {
+    "flat": {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE},
+    "legacy": {"PMIA": LegacyPMIA, "LDAG": LegacyLDAG, "IRIE": LegacyIRIE},
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -40,7 +45,7 @@ CLASSES = {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE}
 def test_golden_seeds_both_engines(name, engine, ref_graphs):
     model_name, expected = GOLDEN[name]
     model = MODELS[model_name]
-    result = CLASSES[name](engine=engine).select(
+    result = CLASSES[engine][name]().select(
         ref_graphs[model_name], 10, model, rng=np.random.default_rng(0)
     )
     assert result.seeds == expected

@@ -13,6 +13,7 @@ from repro.algorithms.ldag import LDAG
 from repro.algorithms.pmia import PMIA
 from repro.datasets import catalog
 from repro.diffusion.models import IC, WC, LT
+from tests.reference import LegacyIRIE, LegacyLDAG, LegacyPMIA
 
 pytestmark = pytest.mark.statistical
 
@@ -25,6 +26,7 @@ GOLDEN_NETHEPT = {
 
 MODELS = {"IC": IC, "WC": WC, "LT": LT}
 CLASSES = {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE}
+LEGACY = {"PMIA": LegacyPMIA, "LDAG": LegacyLDAG, "IRIE": LegacyIRIE}
 
 
 @pytest.fixture(scope="module")
@@ -40,10 +42,10 @@ def _weighted(nethept, model):
 def test_path_engine_matches_legacy_on_nethept(name, model_name, nethept):
     model = MODELS[model_name]
     graph = _weighted(nethept, model)
-    flat = CLASSES[name](engine="flat").select(
+    flat = CLASSES[name]().select(
         graph, 10, model, rng=np.random.default_rng(0)
     )
-    legacy = CLASSES[name](engine="legacy").select(
+    legacy = LEGACY[name]().select(
         graph, 10, model, rng=np.random.default_rng(0)
     )
     assert flat.seeds == legacy.seeds

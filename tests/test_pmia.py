@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.pmia import PMIA, build_miia
+from repro.algorithms.pmia import PMIA
 from repro.diffusion.models import IC, LT
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread
+from tests.reference import LegacyPMIA, build_miia
 
 
 @pytest.fixture
@@ -54,7 +55,7 @@ class TestTreeDP:
         arb = build_miia(chain, 2, theta=0.01)
         in_seed = np.zeros(3, dtype=bool)
         in_seed[0] = True
-        PMIA._forward_ap(arb, in_seed)
+        LegacyPMIA._forward_ap(arb, in_seed)
         assert arb.ap[0] == 1.0
         assert arb.ap[1] == pytest.approx(0.5)
         assert arb.ap[2] == pytest.approx(0.2)
@@ -63,15 +64,15 @@ class TestTreeDP:
         g = DiGraph.from_edges(3, [(0, 2), (1, 2)], weights=[0.5, 0.5])
         arb = build_miia(g, 2, theta=0.01)
         in_seed = np.array([True, True, False])
-        PMIA._forward_ap(arb, in_seed)
+        LegacyPMIA._forward_ap(arb, in_seed)
         # 1 - (1-0.5)(1-0.5) = 0.75 — exact IC on the tree.
         assert arb.ap[2] == pytest.approx(0.75)
 
     def test_backward_alpha_chain(self, chain):
         arb = build_miia(chain, 2, theta=0.01)
         in_seed = np.zeros(3, dtype=bool)
-        PMIA._forward_ap(arb, in_seed)
-        PMIA._backward_alpha(arb, in_seed)
+        LegacyPMIA._forward_ap(arb, in_seed)
+        LegacyPMIA._backward_alpha(arb, in_seed)
         assert arb.alpha[2] == 1.0
         assert arb.alpha[1] == pytest.approx(0.4)
         assert arb.alpha[0] == pytest.approx(0.2)
@@ -82,14 +83,14 @@ class TestTreeDP:
         g = DiGraph.from_edges(3, [(0, 2), (1, 2)], weights=[0.5, 0.5])
         arb = build_miia(g, 2, theta=0.01)
         in_seed = np.array([True, False, False])
-        PMIA._forward_ap(arb, in_seed)
-        PMIA._backward_alpha(arb, in_seed)
+        LegacyPMIA._forward_ap(arb, in_seed)
+        LegacyPMIA._backward_alpha(arb, in_seed)
         assert arb.alpha[1] == pytest.approx(0.5 * (1 - 0.5))
 
     def test_alpha_blocked_by_seed_root(self, chain):
         arb = build_miia(chain, 2, theta=0.01)
         in_seed = np.array([False, False, True])
-        PMIA._backward_alpha(arb, in_seed)
+        LegacyPMIA._backward_alpha(arb, in_seed)
         assert all(a == 0.0 for a in arb.alpha.values())
 
 

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from repro.diffusion._frontier import gather_edges
 from repro.diffusion.models import Dynamics
-from repro.diffusion.rrpool import random_rr_set
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover
+from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, random_rr_set
 from repro.graph import weights as weight_schemes
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
@@ -232,7 +231,7 @@ class TestMaxCoverProperties:
         st.integers(1, 4),
     )
     def test_greedy_at_least_single_best(self, sets, k):
-        pool = RRCollection(10)
+        pool = FlatRRPool(10)
         for s in sets:
             pool.add(np.asarray(sorted(set(s)), dtype=np.int64))
         __, coverage = greedy_max_cover(pool, k)
@@ -249,7 +248,7 @@ class TestMaxCoverProperties:
         )
     )
     def test_coverage_monotone_in_k(self, sets):
-        pool = RRCollection(10)
+        pool = FlatRRPool(10)
         for s in sets:
             pool.add(np.asarray(sorted(set(s)), dtype=np.int64))
         coverages = [greedy_max_cover(pool, k)[1] for k in (1, 2, 3)]

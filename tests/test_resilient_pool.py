@@ -31,7 +31,6 @@ from repro.framework.pool import (
     ResilientPool,
     active_fault_spec,
     fault_fires,
-    pool_retries_env,
     run_chunks,
 )
 from repro.framework.telemetry import Telemetry, activate
@@ -218,14 +217,6 @@ class TestConfiguration:
         assert cfg.retries == 7
         assert cfg.max_restarts == 2
         assert cfg.stall_timeout_seconds == 1.5
-
-    def test_pool_retries_env_scoped_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_POOL_RETRIES", raising=False)
-        with pool_retries_env(9):
-            assert PoolConfig.from_env().retries == 9
-        assert PoolConfig.from_env().retries == PoolConfig().retries
-        with pool_retries_env(None):  # no-op passthrough
-            assert PoolConfig.from_env().retries == PoolConfig().retries
 
     def test_injector_arms_and_restores_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)

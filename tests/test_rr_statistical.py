@@ -16,10 +16,10 @@ import pytest
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover
-from repro.diffusion.rrsets import greedy_max_cover_legacy
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 from tests.oracles import exact_spread
+from tests.reference import greedy_max_cover_legacy
 
 stats = pytest.importorskip("scipy.stats")
 

@@ -5,9 +5,9 @@ import pytest
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, pad_seeds
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover_legacy
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
+from tests.reference import RRCollection, greedy_max_cover_legacy
 
 
 def random_pool(n: int, num_sets: int, rng: np.random.Generator) -> FlatRRPool:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.diffusion.models import Dynamics
-from repro.diffusion.rrsets import RRCollection, greedy_max_cover, random_rr_set
+from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, random_rr_set
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
+from tests.reference import RRCollection
 
 
 class TestRandomRRSet:
@@ -62,14 +63,14 @@ class TestUnbiasedness:
         else:
             graph = diamond_graph
         seeds = [0]
-        pool = RRCollection(graph.n)
+        pool = FlatRRPool(graph.n)
         pool.extend(graph, dynamics, 30000, rng)
         estimate = pool.coverage_fraction(seeds) * graph.n
         exact = oracle(graph, seeds)
         assert estimate == pytest.approx(exact, abs=0.08)
 
     def test_multi_seed_coverage(self, diamond_graph, rng):
-        pool = RRCollection(diamond_graph.n)
+        pool = FlatRRPool(diamond_graph.n)
         pool.extend(diamond_graph, Dynamics.IC, 30000, rng)
         estimate = pool.coverage_fraction([1, 2]) * diamond_graph.n
         exact = exact_ic_spread(diamond_graph, [1, 2])
@@ -97,7 +98,7 @@ class TestRRCollection:
 
 class TestGreedyMaxCover:
     def test_picks_most_frequent_node(self):
-        pool = RRCollection(4)
+        pool = FlatRRPool(4)
         pool.add(np.array([0, 1]))
         pool.add(np.array([1, 2]))
         pool.add(np.array([1]))
@@ -106,7 +107,7 @@ class TestGreedyMaxCover:
         assert coverage == 1.0
 
     def test_second_seed_is_marginal_best(self):
-        pool = RRCollection(5)
+        pool = FlatRRPool(5)
         pool.add(np.array([0, 1]))
         pool.add(np.array([0, 1]))
         pool.add(np.array([2]))
@@ -119,7 +120,7 @@ class TestGreedyMaxCover:
         assert coverage == pytest.approx(4 / 5)
 
     def test_pads_to_k_when_cover_exhausted(self):
-        pool = RRCollection(5)
+        pool = FlatRRPool(5)
         pool.add(np.array([0]))
         seeds, coverage = greedy_max_cover(pool, 3)
         assert len(seeds) == 3
@@ -127,12 +128,12 @@ class TestGreedyMaxCover:
         assert coverage == 1.0
 
     def test_k_zero(self):
-        pool = RRCollection(3)
+        pool = FlatRRPool(3)
         pool.add(np.array([0]))
         assert greedy_max_cover(pool, 0) == ([], 0.0)
 
     def test_no_duplicate_seeds(self):
-        pool = RRCollection(4)
+        pool = FlatRRPool(4)
         for __ in range(5):
             pool.add(np.array([2]))
         seeds, __ = greedy_max_cover(pool, 3)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.easyim import EaSyIM
-from repro.algorithms.irie import IRIE, max_probability_paths
+from repro.algorithms.irie import IRIE
 from repro.diffusion.models import IC, LT, WC
 from repro.graph.digraph import DiGraph
+from tests.reference import max_probability_paths
 
 
 @pytest.fixture

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import logging
 import os
+import socket
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from repro.serving import (
     payload_nbytes,
     start_in_thread,
 )
+from repro.serving.server import MAX_REQUEST_BYTES
 
 
 def _weighted(dataset="nethept", model_name="IC"):
@@ -388,6 +392,50 @@ def test_stats_exposes_cache_and_counters(served):
     assert "nethept" in stats["datasets"]
     assert stats["counters"]["serving.requests"] > 0
     assert stats["cache"]["budget_bytes"] == 256 << 20
+
+
+def test_oversized_request_line_gets_error_envelope(served):
+    seeds = list(range(MAX_REQUEST_BYTES // 4))
+    big = json.dumps({"id": 1, "op": "sigma", "dataset": "nethept",
+                      "model": "IC", "seeds": seeds})
+    assert len(big) > MAX_REQUEST_BYTES
+    ping = json.dumps({"id": 2, "op": "ping"})
+    with socket.create_connection((served.host, served.port), timeout=30) as sock:
+        sock.sendall(f"{big}\n{ping}\n".encode())
+        with sock.makefile("rb") as stream:
+            reply = stream.read()  # until the server hangs up
+    # One envelope, then the connection closes: the request pipelined
+    # behind the oversized line is not answered.
+    responses = [json.loads(line) for line in reply.splitlines()]
+    assert len(responses) == 1
+    assert responses[0]["id"] is None and responses[0]["ok"] is False
+    assert responses[0]["error"]["type"] == "RequestTooLarge"
+    with served.client() as client:
+        assert client.ping() == "pong"  # the server lives on
+
+
+def test_engine_telemetry_folds_under_serving_spans(served):
+    with served.client() as client:
+        cold = client.topk(
+            "nethept", "IC", "RIS", 3, params={"num_rr_sets": 300}, seed=41
+        )
+        stats = client.stats()
+    assert not cold["warm"]
+    assert stats["counters"]["rrpool.rr_sets"] > 0
+    build = served.server.telemetry.snapshot()["spans"]["serving.build"]
+    assert "rrpool.sample" in build["children"]
+
+
+def test_shutdown_logs_no_cancelled_error(caplog):
+    caplog.set_level(logging.DEBUG, logger="asyncio")
+    for __ in range(3):
+        handle = start_in_thread(ServingConfig(datasets=("nethept",)))
+        with handle.client() as client:
+            assert client.ping() == "pong"
+        handle.stop()
+    logged = [r for r in caplog.records if r.name == "asyncio"]
+    assert not [r for r in logged if "CancelledError" in r.getMessage()
+                or (r.exc_info and r.exc_info[0] is not None)], caplog.text
 
 
 # ----------------------------------------------------------------------
