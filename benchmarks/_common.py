@@ -50,19 +50,14 @@ MEMORY_LIMIT_MB = 300.0
 #   REPRO_BENCH_RETRIES=n     attempts for transient FAILED/KILLED cells
 #   REPRO_BENCH_RESUME=1      journal cells under results/journals/ and skip
 #                             already-completed ones on rerun
-#   REPRO_BENCH_RR_WORKERS=n  parallel RR-set sampling (flat CSR engine)
-#                             for the RR-sketch family
-#   REPRO_BENCH_MC_WORKERS=n  parallel Monte-Carlo simulation (decoupled
-#                             scoring and the MC greedy family's oracles)
+#   REPRO_BENCH_MC_WORKERS=n  parallel Monte-Carlo simulation of the
+#                             decoupled scoring estimate (evaluate_spread)
 #   REPRO_BENCH_MC_BATCH=b    cascades per vectorized multi-cascade kernel
-#                             call for the same paths
-#   REPRO_BENCH_SPREAD_ORACLE=name
-#                             sigma(S) backend injected into techniques
-#                             that accept it (serial/batched/snapshot/sketch)
-#   REPRO_BENCH_PATH_WORKERS=n
-#                             parallel structure builds in the path-proxy
-#                             engine (PMIA/LDAG/SIMPATH); deterministic,
-#                             so results are identical at any worker count
+#                             call of the same estimate
+#   (A technique's engine knobs — rr_workers, mc_workers, spread_oracle,
+#   path_workers — are constructor parameters and are never copied in
+#   from these; bench_rr_engine.py and bench_path_engine.py read their own
+#   REPRO_BENCH_RR_WORKERS / REPRO_BENCH_PATH_WORKERS.)
 #   REPRO_BENCH_TRACE=path    collect per-cell telemetry (phase spans and
 #                             engine counters) and append it as JSONL to
 #                             the given file; summarize with
@@ -87,11 +82,8 @@ MEMORY_LIMIT_MB = 300.0
 BENCH_ISOLATE = os.environ.get("REPRO_BENCH_ISOLATE", "") == "1"
 BENCH_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "1") or "1")
 BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") == "1"
-BENCH_RR_WORKERS = int(os.environ.get("REPRO_BENCH_RR_WORKERS", "0") or "0")
 BENCH_MC_WORKERS = int(os.environ.get("REPRO_BENCH_MC_WORKERS", "0") or "0")
 BENCH_MC_BATCH = int(os.environ.get("REPRO_BENCH_MC_BATCH", "0") or "0")
-BENCH_SPREAD_ORACLE = os.environ.get("REPRO_BENCH_SPREAD_ORACLE", "") or None
-BENCH_PATH_WORKERS = int(os.environ.get("REPRO_BENCH_PATH_WORKERS", "0") or "0")
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE", "") or None
 JOURNAL_DIR = RESULTS_DIR / "journals"
 
@@ -125,22 +117,12 @@ def weighted_dataset(name: str, model: PropagationModel):
 
 def scaled_params(name: str, model: PropagationModel | None = None, **overrides):
     """Table-2 parameters merged with the Python-scale adjustments."""
-    from repro.algorithms.registry import accepts_parameter, optimal_parameters
+    from repro.algorithms.registry import optimal_parameters
 
     params = {}
     if model is not None:
         params.update(optimal_parameters(name, model))
     params.update(SCALED_PARAMS.get(name, {}))
-    if BENCH_RR_WORKERS > 1 and accepts_parameter(name, "rr_workers"):
-        params["rr_workers"] = BENCH_RR_WORKERS
-    if BENCH_MC_WORKERS > 1 and accepts_parameter(name, "mc_workers"):
-        params["mc_workers"] = BENCH_MC_WORKERS
-    if BENCH_MC_BATCH > 1 and accepts_parameter(name, "mc_batch"):
-        params["mc_batch"] = BENCH_MC_BATCH
-    if BENCH_SPREAD_ORACLE and accepts_parameter(name, "spread_oracle"):
-        params["spread_oracle"] = BENCH_SPREAD_ORACLE
-    if BENCH_PATH_WORKERS > 1 and accepts_parameter(name, "path_workers"):
-        params["path_workers"] = BENCH_PATH_WORKERS
     params.update(overrides)
     return params
 

@@ -44,11 +44,11 @@ from tests.reference import (
     build_miia,
 )
 
-from _common import BENCH_PATH_WORKERS, emit, evaluate_spread, once
+from _common import emit, evaluate_spread, once
 
 DATASET = os.environ.get("REPRO_BENCH_PATH_DATASET", "livejournal")
 K = int(os.environ.get("REPRO_BENCH_PATH_K", "10") or "10")
-WORKERS = BENCH_PATH_WORKERS if BENCH_PATH_WORKERS > 1 else 2
+WORKERS = int(os.environ.get("REPRO_BENCH_PATH_WORKERS", "2") or "2")
 THRESHOLD = 1.0 / 320.0
 SPEEDUP_FLOOR = 5.0
 FULL_SCALE_DATASET = "livejournal"

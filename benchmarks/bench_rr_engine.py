@@ -15,8 +15,7 @@ Knobs:
 
 * ``REPRO_BENCH_RR_POOL``    pool size (default 50000; CI smoke shrinks it)
 * ``REPRO_BENCH_RR_WORKERS`` worker processes for the sampling comparison
-                             (default 2 here, unlike the sweeps where 0
-                             means "leave serial")
+                             (default 2)
 
 The >= 3x cover speedup is asserted only at full scale (>= 20000 sets);
 at smoke scale the equivalence checks still run but constant overheads

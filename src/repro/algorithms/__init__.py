@@ -22,7 +22,6 @@ from .registry import (
     ALGORITHMS,
     BENCHMARKED,
     OPTIMAL_PARAMETERS,
-    accepts_parameter,
     make,
     make_tuned,
     optimal_parameters,
@@ -62,7 +61,6 @@ __all__ = [
     "ALGORITHMS",
     "BENCHMARKED",
     "OPTIMAL_PARAMETERS",
-    "accepts_parameter",
     "make",
     "make_tuned",
     "optimal_parameters",

@@ -7,7 +7,6 @@ a given model.
 
 from __future__ import annotations
 
-import inspect
 from typing import Callable
 
 from ..diffusion.models import Dynamics, PropagationModel
@@ -33,7 +32,6 @@ __all__ = [
     "ALGORITHMS",
     "BENCHMARKED",
     "OPTIMAL_PARAMETERS",
-    "accepts_parameter",
     "make",
     "make_tuned",
     "supports",
@@ -119,20 +117,6 @@ def make(name: str, **params) -> IMAlgorithm:
             return IMRank(**merged)
         return type(instance)(**params)
     return instance
-
-
-def accepts_parameter(name: str, parameter: str) -> bool:
-    """Whether ``name``'s constructor takes ``parameter``.
-
-    Used to inject cross-cutting knobs (e.g. ``rr_workers``) only into
-    the techniques that understand them.
-    """
-    try:
-        factory = ALGORITHMS[name]
-    except KeyError:
-        return False
-    cls = factory if isinstance(factory, type) else type(factory())
-    return parameter in inspect.signature(cls.__init__).parameters
 
 
 def optimal_parameters(name: str, model: PropagationModel | str) -> dict[str, float]:

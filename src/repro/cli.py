@@ -48,7 +48,10 @@ __all__ = ["main", "build_parser"]
 
 
 def _parse_value(text: str):
-    """Best-effort literal: int, then float, then raw string."""
+    """Best-effort literal: bool (``true``/``false``, any case), int,
+    float, then raw string."""
+    if text.lower() in ("true", "false"):
+        return text.lower() == "true"
     for cast in (int, float):
         try:
             return cast(text)
@@ -85,34 +88,17 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--model", required=True, choices=["IC", "WC", "TV", "LT", "LT-random"])
     sel.add_argument("--algorithm", required=True)
     sel.add_argument("--k", type=int, required=True)
-    sel.add_argument("--param", action="append", metavar="KEY=VALUE")
-    sel.add_argument("--rr-workers", type=int, default=None, metavar="N",
-                     help="processes for parallel RR-set sampling (flat CSR "
-                          "engine); only meaningful for the RR-sketch family "
-                          "(RIS/TIM+/IMM/SSA/D-SSA), ignored elsewhere")
+    sel.add_argument("--param", action="append", metavar="KEY=VALUE",
+                     help="technique constructor parameter, repeatable; "
+                          "engine knobs go here too, e.g. rr_workers=3, "
+                          "spread_oracle=snapshot or path_workers=2")
     sel.add_argument("--mc", type=int, default=1000, help="simulations for sigma(S)")
-    sel.add_argument("--spread-oracle", default=None, metavar="BACKEND",
-                     choices=list(diffusion.ORACLE_BACKENDS),
-                     help="sigma(S) backend for the MC greedy family "
-                          "(GREEDY/CELF/CELF++): serial (legacy per-cascade), "
-                          "batched (vectorized multi-cascade MC), snapshot "
-                          "(presampled live-edge worlds), sketch (snapshot + "
-                          "bottom-k gain bounds); ignored elsewhere")
     sel.add_argument("--mc-batch", type=int, default=None, metavar="B",
-                     help="cascades per vectorized kernel call, for both the "
-                          "selection oracle (when accepted) and the scoring "
-                          "estimate")
+                     help="cascades per vectorized kernel call of the "
+                          "scoring estimate; selection is unaffected")
     sel.add_argument("--mc-workers", type=int, default=None, metavar="N",
-                     help="processes for the Monte-Carlo simulations, for both "
-                          "the selection oracle (when accepted) and the "
-                          "scoring estimate; matches --rr-workers for the "
-                          "sketch family")
-    sel.add_argument("--path-workers", type=int, default=None, metavar="N",
-                     help="processes for the path-proxy engine's batched "
-                          "structure builds; only meaningful for "
-                          "PMIA/LDAG/SIMPATH, ignored elsewhere; the engine "
-                          "is deterministic, so the selected seeds are "
-                          "identical at any worker count")
+                     help="processes for the scoring estimate's Monte-Carlo "
+                          "simulations; selection is unaffected")
     sel.add_argument("--seed", type=int, default=0, help="RNG seed")
     sel.add_argument("--time-limit", type=float, default=None)
     sel.add_argument("--memory-limit-mb", type=float, default=None)
@@ -200,31 +186,6 @@ def _cmd_select(args) -> int:
     model = diffusion.model_by_name(args.model)
     graph = model.weighted(datasets.load(args.dataset), np.random.default_rng(0))
     params = _parse_params(args.param)
-    if args.rr_workers is not None and args.rr_workers > 1:
-        if algorithms.registry.accepts_parameter(args.algorithm, "rr_workers"):
-            params.setdefault("rr_workers", args.rr_workers)
-        else:
-            print(f"note: {args.algorithm} does not sample RR sets; "
-                  "--rr-workers ignored")
-    if args.spread_oracle is not None:
-        if algorithms.registry.accepts_parameter(args.algorithm, "spread_oracle"):
-            params.setdefault("spread_oracle", args.spread_oracle)
-        else:
-            print(f"note: {args.algorithm} does not take a spread oracle; "
-                  "--spread-oracle ignored")
-    if args.path_workers is not None and args.path_workers > 1:
-        if algorithms.registry.accepts_parameter(args.algorithm, "path_workers"):
-            params.setdefault("path_workers", args.path_workers)
-        else:
-            print(f"note: {args.algorithm} does not build path structures; "
-                  "--path-workers ignored")
-    for flag, name in (("mc_batch", "--mc-batch"), ("mc_workers", "--mc-workers")):
-        value = getattr(args, flag)
-        if value is not None and value > 1:
-            if algorithms.registry.accepts_parameter(args.algorithm, flag):
-                params.setdefault(flag, value)
-            # No note when rejected: both flags still shape the scoring
-            # estimate below, so they are never wholly ignored.
     algo = algorithms.make(args.algorithm, **params)
     journal = CheckpointJournal(args.resume) if args.resume else None
     key = cell_key(args.algorithm, params, args.k,

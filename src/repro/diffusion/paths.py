@@ -654,11 +654,9 @@ class _StoreBase:
 class TreeStore(_StoreBase):
     """All MIIA arborescences of a graph + the batched tree DPs (PMIA)."""
 
-    def __init__(self, graph, theta: float, trees: list[LocalTree],
-                 workers: int | None = None) -> None:
+    def __init__(self, graph, theta: float, trees: list[LocalTree]) -> None:
         super().__init__(graph, trees)
         self.theta = theta
-        self.workers = workers
 
     def rebuild(self, idxs: list[int], blocked: np.ndarray,
                 tick: Callable[[], None] | None = None) -> None:
@@ -763,11 +761,9 @@ class TreeStore(_StoreBase):
 class DagStore(_StoreBase):
     """All LDAGs of a graph + the batched linear-threshold DPs (LDAG)."""
 
-    def __init__(self, graph, eta: float, dags: list[LocalDag],
-                 workers: int | None = None) -> None:
+    def __init__(self, graph, eta: float, dags: list[LocalDag]) -> None:
         super().__init__(graph, dags)
         self.eta = eta
-        self.workers = workers
 
     def gains(self, idxs: list[int], in_seed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-structure ``(nodes, gain)`` for non-seed members.
@@ -843,7 +839,7 @@ def build_tree_store(
             graph, np.arange(graph.n, dtype=np.int64), theta,
             reverse=True, workers=workers, tick=tick,
         )
-        return TreeStore(graph, theta, _trees_from_batch(batch), workers=workers)
+        return TreeStore(graph, theta, _trees_from_batch(batch))
 
 
 def build_dag_store(
@@ -879,4 +875,4 @@ def build_dag_store(
             dags = _dags_from_chunk(roots, flat, edges)
             if tick is not None:
                 tick()
-    return DagStore(graph, eta, dags, workers=workers)
+    return DagStore(graph, eta, dags)

@@ -153,7 +153,6 @@ class FlatRRPool:
         "_pending_widths",
         "_node_ptr",
         "_node_sets",
-        "_shm_segments",
     )
 
     def __init__(self, n: int) -> None:
@@ -168,40 +167,6 @@ class FlatRRPool:
         self._pending_widths: list[int] = []
         self._node_ptr: np.ndarray | None = None
         self._node_sets: np.ndarray | None = None
-        # Segment names backing any shm-attached CSR views (set by
-        # ``from_csr`` when the pool was reassembled from the arena).
-        self._shm_segments: tuple[str, ...] = ()
-
-    @classmethod
-    def from_csr(
-        cls,
-        n: int,
-        set_ptr: np.ndarray,
-        set_nodes: np.ndarray,
-        widths: np.ndarray,
-        node_ptr: np.ndarray | None = None,
-        node_sets: np.ndarray | None = None,
-        shm_segments: tuple[str, ...] = (),
-    ) -> "FlatRRPool":
-        """Rebuild a pool directly from its CSR arrays (no resampling).
-
-        The reassembly path of the shared-memory transport: a worker
-        attaches the published set/node CSR views and wraps them back
-        into a pool without copying.  ``shm_segments`` records which
-        arrays are arena-backed so :attr:`nbytes_detail` can report the
-        attached share explicitly.
-        """
-        pool = cls(n)
-        pool._ptr = np.asarray(set_ptr)
-        pool._nodes = np.asarray(set_nodes)
-        pool._widths = np.asarray(widths)
-        pool.total_width = int(pool._widths.sum())
-        if (node_ptr is None) != (node_sets is None):
-            raise ValueError("node_ptr and node_sets must come together")
-        pool._node_ptr = None if node_ptr is None else np.asarray(node_ptr)
-        pool._node_sets = None if node_sets is None else np.asarray(node_sets)
-        pool._shm_segments = tuple(shm_segments)
-        return pool
 
     # ------------------------------------------------------------------
     # growth
@@ -382,47 +347,22 @@ class FlatRRPool:
 
         Counts both the set view and, when materialized, the inverted
         node view — the real resident cost of the pool that Table-6-style
-        memory benchmarks should charge the technique with.  Arena-backed
-        views count too: attached pages are resident in this process even
-        though they are shared, so excluding them would understate the
-        fig-8 memory cells; :attr:`nbytes_detail` breaks out the shared
-        portion for callers that want the private-copy cost alone.
+        memory benchmarks should charge the technique with.
         """
-        self._compact()
-        total = self._ptr.nbytes + self._nodes.nbytes + self._widths.nbytes
-        if self._node_ptr is not None:
-            total += self._node_ptr.nbytes + self._node_sets.nbytes
-        return int(total)
+        return sum(self.nbytes_detail().values())
 
-    @property
     def nbytes_detail(self) -> dict[str, int]:
-        """Byte accounting split by array family and backing store.
-
-        ``set_view`` / ``node_index`` partition :attr:`nbytes` (the node
-        index is 0 until its lazy build); ``shm_attached`` is the subset
-        held in shared-memory views published by the arena rather than
-        process-private arrays — nonzero only for pools reassembled via
-        :meth:`from_csr` inside a worker.
-        """
-        from ..framework.shm import shm_segment_of  # lazy: import cycle
-
+        """:attr:`nbytes` split into ``set_view`` and ``node_index`` (0
+        until the inverted index's lazy build)."""
         self._compact()
-        set_view = int(
-            self._ptr.nbytes + self._nodes.nbytes + self._widths.nbytes
-        )
-        arrays = [self._ptr, self._nodes, self._widths]
         node_index = 0
         if self._node_ptr is not None:
             node_index = int(self._node_ptr.nbytes + self._node_sets.nbytes)
-            arrays += [self._node_ptr, self._node_sets]
-        attached = int(sum(
-            a.nbytes for a in arrays if shm_segment_of(a) is not None
-        ))
         return {
-            "set_view": set_view,
+            "set_view": int(
+                self._ptr.nbytes + self._nodes.nbytes + self._widths.nbytes
+            ),
             "node_index": node_index,
-            "shm_attached": attached,
-            "total": set_view + node_index,
         }
 
     def __len__(self) -> int:

@@ -59,28 +59,14 @@ class SweepConfig:
     retries: int = 1
     #: Execution shape of the decoupled MC scoring pass: fan simulations
     #: over a process pool and/or run them through the batched kernels.
+    #: Scoring only — a technique's own engine knobs (``rr_workers``,
+    #: ``path_workers``, ...) go in its roster parameters.
     mc_workers: int | None = None
     mc_batch: int | None = None
-    #: Process-pool fan-out for the path-proxy engine's structure builds
-    #: (PMIA / LDAG / SIMPATH).  The batched kernel is
-    #: deterministic, so results are identical at any worker count —
-    #: unlike ``rr_workers``, the value never invalidates journal cells.
-    path_workers: int | None = None
     #: Collect per-phase spans and engine counters into each cell's
     #: ``extras["telemetry"]`` (see :mod:`repro.framework.telemetry`).
     #: Off by default — the no-op path leaves results byte-identical.
     telemetry: bool = False
-
-    def technique_params(self, name: str, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Roster params merged with the sweep-level engine knobs."""
-        merged = dict(params)
-        if (
-            self.path_workers is not None
-            and self.path_workers > 1
-            and registry.accepts_parameter(name, "path_workers")
-        ):
-            merged.setdefault("path_workers", self.path_workers)
-        return merged
 
     def execution(self) -> tuple[IsolationConfig, RetryPolicy]:
         return (
@@ -136,7 +122,7 @@ def quality_sweep(
                 record = journal.get(key)
             else:
                 record, __ = execute_cell(
-                    registry.make(name, **config.technique_params(name, params)),
+                    registry.make(name, **params),
                     graph,
                     k,
                     model,
@@ -163,7 +149,7 @@ def memory_sweep(
     results: dict[str, RunRecord] = {}
     for name, params in roster.items():
         record, __ = run_with_budget(
-            registry.make(name, **config.technique_params(name, params)),
+            registry.make(name, **params),
             graph,
             k,
             model,

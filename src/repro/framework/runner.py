@@ -110,34 +110,15 @@ class IMFramework:
         Optional :class:`CheckpointJournal` (or a path) — completed cells
         are appended and a rerun skips them.  ``journal_scope`` (e.g. a
         dataset name) widens the cell keys when one journal spans sweeps.
-    rr_workers:
-        When > 1, injected as the ``rr_workers`` constructor parameter of
-        every technique that accepts it (the RR-sketch family), fanning
-        RR-set sampling out over a process pool.  Because parallel pools
-        draw from different streams than serial ones, the value is part
-        of each journal cell key — cells journaled at one worker count
-        are not silently reused at another.
     mc_workers / mc_batch:
         Execution shape of the decoupled spread estimate (Sec. 5.1's
         10K-simulation protocol): fan the simulations over a process pool
-        and/or run them through the batched multi-cascade kernels.  Both
-        are also injected into the constructor of every technique that
-        accepts them (the MC greedy family), like ``rr_workers``.
-    spread_oracle:
-        σ(S) backend name (see :data:`repro.diffusion.ORACLE_BACKENDS`)
-        injected into every technique that accepts it.  Oracle-backed
-        runs draw from different streams than the legacy per-cascade
-        path, so the value lands in the spectrum params and therefore in
-        each journal cell key.
-    path_workers:
-        When > 1, injected into every technique that accepts it (the
-        path-proxy builders PMIA / LDAG / SIMPATH; IRIE's single-source
-        IE step has nothing to fan out), spreading the batched structure
-        builds over a process pool.  The path engine is deterministic —
-        results are identical at any worker count — so, unlike
-        ``rr_workers``, the value carries no journal-key implications (it
-        still lands in the spectrum params, which is harmless but means
-        cells journaled with and without fan-out are keyed apart).
+        and/or run them through the batched multi-cascade kernels.  They
+        shape the scoring pass only; a technique's own engine knobs
+        (``rr_workers``, ``mc_workers``, ``spread_oracle``,
+        ``path_workers``, ...) are constructor parameters and travel in
+        the spectrum's parameter dicts, so they are part of each journal
+        cell key.
     telemetry:
         Optional :class:`~repro.framework.telemetry.Telemetry` session
         handle.  When given, every selection pass collects per-phase
@@ -162,11 +143,8 @@ class IMFramework:
         retry: RetryPolicy | None = None,
         journal: CheckpointJournal | str | os.PathLike | None = None,
         journal_scope: str | None = None,
-        rr_workers: int | None = None,
         mc_workers: int | None = None,
         mc_batch: int | None = None,
-        spread_oracle: str | None = None,
-        path_workers: int | None = None,
         telemetry: "_telemetry.Telemetry | None" = None,
     ) -> None:
         self.graph = graph
@@ -185,11 +163,8 @@ class IMFramework:
             journal = CheckpointJournal(journal)
         self.journal = journal
         self.journal_scope = journal_scope
-        self.rr_workers = rr_workers
         self.mc_workers = mc_workers
         self.mc_batch = mc_batch
-        self.spread_oracle = spread_oracle
-        self.path_workers = path_workers
         self.telemetry = telemetry
 
     # ------------------------------------------------------------------
@@ -266,24 +241,6 @@ class IMFramework:
         """
         rng = np.random.default_rng() if rng is None else rng
         spectrum = list(parameter_spectrum) if parameter_spectrum else [{}]
-        injected: dict[str, Any] = {}
-        if self.rr_workers is not None and self.rr_workers > 1:
-            injected["rr_workers"] = self.rr_workers
-        if self.mc_workers is not None and self.mc_workers > 1:
-            injected["mc_workers"] = self.mc_workers
-        if self.mc_batch is not None and self.mc_batch > 1:
-            injected["mc_batch"] = self.mc_batch
-        if self.spread_oracle is not None:
-            injected["spread_oracle"] = self.spread_oracle
-        if self.path_workers is not None and self.path_workers > 1:
-            injected["path_workers"] = self.path_workers
-        injected = {
-            name: value
-            for name, value in injected.items()
-            if registry.accepts_parameter(algorithm_name, name)
-        }
-        if injected:
-            spectrum = [{**injected, **params} for params in spectrum]
         trace = FrameworkTrace(algorithm=algorithm_name, model=self.model.name, k=k)
         best_estimate: SpreadEstimate | None = None
         for i, params in enumerate(spectrum):

@@ -12,13 +12,13 @@ are shared, not copied.
 Transport contract (the pool calls :func:`export_shared` /
 :func:`worker_shared`; everything else is plumbing):
 
-* **Structural encoding** — tuples / lists / dicts are walked
-  recursively; ndarrays at least :data:`INLINE_BYTES` big become
-  :class:`ShmRef`, smaller ones stay inline (a segment per tiny array
-  costs more than it saves).  Registered composite types (``DiGraph``,
-  ``FlatRRPool``, ``Snapshot`` by default — :func:`register_shm_handler`
-  adds more) are exploded into a state dict whose arrays take the same
-  path, and reassembled on the worker without recomputation.
+* **Encoding** — each top-level item of the shared tuple is encoded on
+  its own: a ``DiGraph`` (the one composite any fan-out ships) becomes
+  its node count plus its seven CSR arrays and is reassembled on the
+  worker without recomputation; an ndarray at least
+  :data:`INLINE_BYTES` big becomes a :class:`ShmRef`; anything else
+  (scalars, small arrays, enums, seed lists) stays inline — a segment
+  per tiny array costs more than it saves.
 * **Fallback** — when shm is disabled (``REPRO_SHM_DISABLE``), the
   eligible payload is below ``REPRO_SHM_MIN_BYTES`` (default 1 MiB), or
   segment creation fails (``OSError``: no ``/dev/shm``, rlimits), the
@@ -51,10 +51,11 @@ import pickle
 import weakref
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
+from ..graph.digraph import DiGraph
 from . import telemetry as _telemetry
 
 __all__ = [
@@ -64,8 +65,6 @@ __all__ = [
     "shm_min_bytes",
     "export_shared",
     "resolve_shared",
-    "register_shm_handler",
-    "shm_segment_of",
     "attached_segments",
     "detach_stale",
     "detach_all",
@@ -112,123 +111,17 @@ class ShmRef:
 
 
 @dataclass(frozen=True)
-class _Composite:
-    """A registered object exploded into an encodable state tree."""
+class _GraphRef:
+    """A ``DiGraph`` as its node count and seven CSR arrays (each an
+    inline ndarray or a :class:`ShmRef`)."""
 
-    key: str
-    state: Any
-
-
-# ----------------------------------------------------------------------
-# Type handlers
-
-#: key -> (class, export obj->state, restore state->obj).  The class slot
-#: is resolved lazily so importing this module never drags in the engines.
-_HANDLERS: dict[str, tuple[type, Callable[[Any], Any], Callable[[Any], Any]]] = {}
-_DEFAULTS_LOADED = False
+    n: int
+    arrays: tuple[Any, ...]
 
 
-def register_shm_handler(
-    key: str,
-    cls: type,
-    export: Callable[[Any], Any],
-    restore: Callable[[Any], Any],
-) -> None:
-    """Teach the transport a composite type.
-
-    ``export`` returns a picklable state tree (its ndarrays are published
-    like any other); ``restore`` rebuilds the object from the resolved
-    state on the worker.  The round trip must not recompute derived
-    structure — that is the whole point of shipping it.
-    """
-    _HANDLERS[key] = (cls, export, restore)
-
-
-def _load_default_handlers() -> None:
-    """Register DiGraph / FlatRRPool / Snapshot handlers, best-effort.
-
-    Lazy and tolerant: the handlers only matter once one of these types
-    crosses a pool boundary, by which point its module is imported; a
-    stripped-down install without the engines still gets plain-array
-    transport.
-    """
-    global _DEFAULTS_LOADED
-    if _DEFAULTS_LOADED:
-        return
-    _DEFAULTS_LOADED = True
-    try:
-        from ..graph.digraph import DiGraph
-
-        register_shm_handler(
-            "repro.digraph",
-            DiGraph,
-            lambda g: {
-                "n": g.n,
-                "arrays": (g.out_ptr, g.out_dst, g.out_w,
-                           g.in_ptr, g.in_src, g.in_w, g._in_perm),
-            },
-            lambda state: __import__(
-                "repro.graph.digraph", fromlist=["DiGraph"]
-            ).DiGraph(state["n"], *state["arrays"]),
-        )
-    except ImportError:  # pragma: no cover - partial install
-        pass
-    try:
-        from ..diffusion.rrpool import FlatRRPool
-
-        def _export_rrpool(pool):
-            pool._compact()
-            return {
-                "n": pool.n,
-                "ptr": pool._ptr,
-                "nodes": pool._nodes,
-                "widths": pool._widths,
-                "node_ptr": pool._node_ptr,
-                "node_sets": pool._node_sets,
-            }
-
-        def _restore_rrpool(state):
-            from ..diffusion.rrpool import FlatRRPool
-
-            segs = tuple(
-                seg for seg in (
-                    shm_segment_of(state[k])
-                    for k in ("ptr", "nodes", "widths", "node_ptr", "node_sets")
-                    if state[k] is not None
-                ) if seg is not None
-            )
-            return FlatRRPool.from_csr(
-                state["n"], state["ptr"], state["nodes"], state["widths"],
-                node_ptr=state["node_ptr"], node_sets=state["node_sets"],
-                shm_segments=segs,
-            )
-
-        register_shm_handler(
-            "repro.rrpool", FlatRRPool, _export_rrpool, _restore_rrpool
-        )
-    except ImportError:  # pragma: no cover - partial install
-        pass
-    try:
-        from ..diffusion.snapshots import Snapshot
-
-        register_shm_handler(
-            "repro.snapshot",
-            Snapshot,
-            lambda s: {"graph": s.graph, "live": s.live},
-            lambda state: __import__(
-                "repro.diffusion.snapshots", fromlist=["Snapshot"]
-            ).Snapshot(graph=state["graph"], live=state["live"]),
-        )
-    except ImportError:  # pragma: no cover - partial install
-        pass
-
-
-def _handler_for(obj: Any):
-    _load_default_handlers()
-    for key, (cls, export, __) in _HANDLERS.items():
-        if isinstance(obj, cls):
-            return key, export
-    return None
+def _graph_arrays(graph: DiGraph) -> tuple[np.ndarray, ...]:
+    return (graph.out_ptr, graph.out_dst, graph.out_w,
+            graph.in_ptr, graph.in_src, graph.in_w, graph._in_perm)
 
 
 # ----------------------------------------------------------------------
@@ -317,47 +210,22 @@ class ShmArena:
 # ----------------------------------------------------------------------
 # Encoding (parent side)
 
-def _expand(obj: Any) -> Any:
-    """Explode registered composites; leave everything else in place."""
-    handled = _handler_for(obj)
-    if handled is not None:
-        key, export = handled
-        return _Composite(key, _expand(export(obj)))
-    if isinstance(obj, tuple):
-        return tuple(_expand(v) for v in obj)
-    if isinstance(obj, list):
-        return [_expand(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _expand(v) for k, v in obj.items()}
-    return obj
+def _eligible_bytes(item: Any) -> int:
+    arrays = _graph_arrays(item) if isinstance(item, DiGraph) else (item,)
+    return sum(
+        a.nbytes for a in arrays
+        if isinstance(a, np.ndarray) and a.nbytes >= INLINE_BYTES
+    )
 
 
-def _eligible_bytes(obj: Any) -> int:
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes if obj.nbytes >= INLINE_BYTES else 0
-    if isinstance(obj, _Composite):
-        return _eligible_bytes(obj.state)
-    if isinstance(obj, (tuple, list)):
-        return sum(_eligible_bytes(v) for v in obj)
-    if isinstance(obj, dict):
-        return sum(_eligible_bytes(v) for v in obj.values())
-    return 0
-
-
-def _publish_tree(obj: Any, arena: ShmArena) -> Any:
-    if isinstance(obj, np.ndarray):
-        if obj.nbytes >= INLINE_BYTES:
-            return arena.publish(obj)
-        return obj
-    if isinstance(obj, _Composite):
-        return _Composite(obj.key, _publish_tree(obj.state, arena))
-    if isinstance(obj, tuple):
-        return tuple(_publish_tree(v, arena) for v in obj)
-    if isinstance(obj, list):
-        return [_publish_tree(v, arena) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _publish_tree(v, arena) for k, v in obj.items()}
-    return obj
+def _publish(item: Any, arena: ShmArena) -> Any:
+    if isinstance(item, DiGraph):
+        return _GraphRef(
+            item.n, tuple(_publish(a, arena) for a in _graph_arrays(item))
+        )
+    if isinstance(item, np.ndarray) and item.nbytes >= INLINE_BYTES:
+        return arena.publish(item)
+    return item
 
 
 def export_shared(
@@ -366,7 +234,7 @@ def export_shared(
     """Encode a shared-args tuple for worker transport.
 
     Returns ``(payload, arena)``.  With the arena path taken, ``payload``
-    is the encoded tree (composites exploded, big arrays as
+    is the encoded tuple (graphs as CSR descriptors, big arrays as
     :class:`ShmRef`) and ``arena`` owns the segments — the caller must
     ``close()`` it after the last worker is done.  On any fallback the
     original tuple comes back with ``arena=None`` and travels by pickle.
@@ -375,11 +243,10 @@ def export_shared(
     if not shared:
         return shared, None
     if shm_enabled():
-        expanded = _expand(shared)
-        if _eligible_bytes(expanded) >= shm_min_bytes():
+        if sum(_eligible_bytes(item) for item in shared) >= shm_min_bytes():
             arena = ShmArena(label=label)
             try:
-                payload = _publish_tree(expanded, arena)
+                payload = tuple(_publish(item, arena) for item in shared)
             except OSError:
                 # No usable /dev/shm (or rlimit hit): pickle still works.
                 arena.close()
@@ -405,8 +272,6 @@ def export_shared(
 #: Per-process attach cache: segment name -> (SharedMemory, view).  The
 #: SharedMemory handle must stay referenced as long as its views live.
 _ATTACHED: dict[str, tuple[shared_memory.SharedMemory, np.ndarray]] = {}
-#: id(view) -> segment name, for provenance queries (``shm_segment_of``).
-_VIEW_SEGMENTS: dict[int, str] = {}
 _ATTACH_TOTAL = 0
 _ATTACH_REPORTED = 0
 
@@ -421,37 +286,23 @@ def _attach(ref: ShmRef) -> np.ndarray:
         view = np.ndarray(ref.shape, dtype=dtype, buffer=seg.buf)
         view.flags.writeable = False
         _ATTACHED[ref.segment] = cached = (seg, view)
-        _VIEW_SEGMENTS[id(view)] = ref.segment
         _ATTACH_TOTAL += 1
     return cached[1]
 
 
+def _resolve(item: Any) -> Any:
+    if isinstance(item, ShmRef):
+        return _attach(item)
+    if isinstance(item, _GraphRef):
+        return DiGraph(item.n, *(_resolve(a) for a in item.arrays))
+    return item
+
+
 def resolve_shared(payload: Any) -> Any:
-    """Rebuild the original shared-args structure from an encoded tree."""
-    if isinstance(payload, ShmRef):
-        return _attach(payload)
-    if isinstance(payload, _Composite):
-        _load_default_handlers()
-        try:
-            restore = _HANDLERS[payload.key][2]
-        except KeyError:
-            raise RuntimeError(
-                f"no shm handler registered for {payload.key!r} in this "
-                "process; register_shm_handler must run on both sides"
-            ) from None
-        return restore(resolve_shared(payload.state))
+    """Rebuild the original shared-args tuple (or one encoded item)."""
     if isinstance(payload, tuple):
-        return tuple(resolve_shared(v) for v in payload)
-    if isinstance(payload, list):
-        return [resolve_shared(v) for v in payload]
-    if isinstance(payload, dict):
-        return {k: resolve_shared(v) for k, v in payload.items()}
-    return payload
-
-
-def shm_segment_of(array: Any) -> str | None:
-    """Segment name backing ``array`` if it is an attached view, else None."""
-    return _VIEW_SEGMENTS.get(id(array))
+        return tuple(_resolve(item) for item in payload)
+    return _resolve(payload)
 
 
 def attached_segments() -> tuple[str, ...]:
@@ -473,7 +324,6 @@ def _segment_exists(name: str) -> bool:
 
 def _drop_attached(name: str) -> None:
     seg, view = _ATTACHED.pop(name)
-    _VIEW_SEGMENTS.pop(id(view), None)
     del view
     try:
         seg.close()

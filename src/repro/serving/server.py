@@ -365,6 +365,9 @@ class InfluenceServer:
                 graph, model.dynamics, num_rr_sets,
                 np.random.default_rng(seed), workers=rr_workers,
             )
+            # Build the inverted index that every max-cover reads before
+            # the artifact is sized, so the LRU budget charges for it.
+            pool.node_index
             return pool
 
         entry, warm = await self._artifact(key, "rrpool", build)

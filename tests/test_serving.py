@@ -12,13 +12,14 @@ import pytest
 
 from repro import algorithms
 from repro.datasets import load as load_dataset
-from repro.diffusion import model_by_name
+from repro.diffusion import Dynamics, model_by_name
 from repro.diffusion.oracle import (
     BatchedMCOracle,
     BoundedMemo,
     GainCache,
     SnapshotOracle,
 )
+from repro.diffusion.rrpool import FlatRRPool
 from repro.framework import shm
 from repro.graph.io import save_npz
 from repro.serving import (
@@ -184,7 +185,6 @@ def _fake_attachment():
     view = np.ndarray((64,), dtype=np.uint8, buffer=seg.buf)
     view.flags.writeable = False
     shm._ATTACHED[seg.name] = (seg, view)
-    shm._VIEW_SEGMENTS[id(view)] = seg.name
     return seg
 
 
@@ -264,6 +264,12 @@ def test_payload_nbytes_prefers_detail(two_cliques):
     total, detail = payload_nbytes(oracle)
     assert total == oracle.nbytes > 0
     assert "live_worlds" in detail
+    pool = FlatRRPool(two_cliques.n)
+    pool.extend(two_cliques, Dynamics.IC, 20, np.random.default_rng(0))
+    pool.node_index
+    total, detail = payload_nbytes(pool)
+    assert total == pool.nbytes
+    assert set(detail) == {"set_view", "node_index"}
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +320,27 @@ def test_topk_ris_byte_identical_to_batch_and_warm(served):
     assert warm["seeds"] == ref.seeds
     assert not cold["warm"] and warm["warm"]
     assert smaller["warm"] and smaller["seeds"] == ref.seeds[:2]
+
+
+def test_rrpool_artifact_bytes_include_inverted_index():
+    # Every max-cover reads the pool's inverted index, so the LRU must
+    # charge for it from the first (cold) query on.
+    handle = start_in_thread(
+        ServingConfig(datasets=("nethept",), coalesce_ms=1.0)
+    )
+    try:
+        with handle.client() as client:
+            client.topk(
+                "nethept", "IC", "RIS", 5, params={"num_rr_sets": 2000}, seed=7
+            )
+            stats = client.stats()
+    finally:
+        handle.stop()
+    graph, model = _weighted()
+    pool = FlatRRPool(graph.n)
+    pool.extend(graph, model.dynamics, 2000, np.random.default_rng(7))
+    pool.node_index
+    assert stats["cache"]["by_kind"]["rrpool"]["bytes"] == pool.nbytes
 
 
 def test_topk_selection_path_prefix_warm(served):
@@ -446,7 +473,7 @@ def test_server_lru_evicts_and_rewarms_under_small_budget():
     handle = start_in_thread(
         ServingConfig(
             datasets=("nethept",),
-            cache_bytes=100_000,  # fits ~two 1k-set RR pools, not four
+            cache_bytes=100_000,  # fits one indexed 1k-set RR pool, not two
             coalesce_ms=1.0,
         )
     )

@@ -5,8 +5,9 @@ Three layers are pinned here:
 * the descriptor round trip — any C-representable ndarray published into
   an arena comes back bit-identical through a worker-side attach
   (property-tested across dtypes and shapes);
-* the transport contract — composites (DiGraph / FlatRRPool / Snapshot)
-  explode, ship and reassemble without recomputation; the pickle
+* the transport contract — a shared tuple ships item by item (a
+  ``DiGraph`` as its CSR arrays, reassembled without recomputation; big
+  arrays through the arena; everything else inline); the pickle
   fallbacks (disable flag, min-bytes threshold, publish failure) return
   the original objects; telemetry counters say which path ran;
 * the lifecycle — no ``repro_shm_*`` segment survives in ``/dev/shm``
@@ -25,7 +26,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool
-from repro.diffusion.snapshots import Snapshot, sample_live_masks
 from repro.framework import shm
 from repro.framework.pool import (
     ChunkFaultInjector,
@@ -181,18 +181,17 @@ class TestExportShared:
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         big = np.arange(4096, dtype=np.float64)
         small = np.arange(4, dtype=np.int64)
-        shared = ({"big": big, "tag": "x"}, [small, 7], 3.5)
+        shared = (big, small, 3.5)
         payload, arena = export_shared(shared, label="t")
         assert arena is not None
         try:
-            assert isinstance(payload[0]["big"], ShmRef)
+            assert isinstance(payload[0], ShmRef)
             # Small arrays and scalars stay inline.
-            assert isinstance(payload[1][0], np.ndarray)
+            assert isinstance(payload[1], np.ndarray)
             resolved = resolve_shared(payload)
-            assert np.array_equal(resolved[0]["big"], big)
-            assert resolved[0]["tag"] == "x"
-            assert np.array_equal(resolved[1][0], small)
-            assert resolved[1][1] == 7 and resolved[2] == 3.5
+            assert np.array_equal(resolved[0], big)
+            assert np.array_equal(resolved[1], small)
+            assert resolved[2] == 3.5
         finally:
             arena.close()
             _drain_attach_counter()
@@ -255,11 +254,6 @@ class TestExportShared:
         payload, arena = export_shared(())
         assert payload == () and arena is None
 
-    def test_unknown_handler_key_raises(self):
-        bad = shm._Composite("no.such.handler", {"x": 1})
-        with pytest.raises(RuntimeError, match="no shm handler"):
-            resolve_shared(bad)
-
 
 class TestCompositeHandlers:
     def test_digraph_round_trip(self, monkeypatch):
@@ -280,53 +274,15 @@ class TestCompositeHandlers:
                          "in_ptr", "in_src", "in_w"):
                 assert np.array_equal(getattr(restored, name),
                                       getattr(graph, name))
-            # Big CSR arrays are arena-backed views, not copies.
-            assert shm.shm_segment_of(restored.out_dst) is not None
-        finally:
-            arena.close()
-            _drain_attach_counter()
-
-    def test_rrpool_round_trip_without_resampling(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        pool = FlatRRPool(graph.n)
-        pool.extend(graph, Dynamics.IC, 400, np.random.default_rng(3))
-        pool.node_index  # materialize the inverted index before export
-        payload, arena = export_shared((pool,), label="rr")
-        assert arena is not None
-        try:
-            (restored,) = resolve_shared(payload)
-            assert len(restored) == len(pool)
-            assert restored.total_width == pool.total_width
-            assert np.array_equal(restored.set_ptr, pool.set_ptr)
-            assert np.array_equal(restored.set_nodes, pool.set_nodes)
-            assert np.array_equal(restored.widths, pool.widths)
-            # The inverted index shipped — no lazy rebuild on the worker.
-            assert restored._node_ptr is not None
-            assert np.array_equal(restored.node_index[1], pool.node_index[1])
-        finally:
-            arena.close()
-            _drain_attach_counter()
-
-    def test_rrpool_nbytes_accounts_attached_views(self, graph, monkeypatch):
-        # Satellite regression: fig-8 memory cells must charge attached
-        # pages to the pool, with the shared portion broken out.
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        pool = FlatRRPool(graph.n)
-        pool.extend(graph, Dynamics.IC, 400, np.random.default_rng(3))
-        pool.node_index
-        payload, arena = export_shared((pool,), label="rr")
-        try:
-            (restored,) = resolve_shared(payload)
-            detail = restored.nbytes_detail
-            assert detail["total"] == restored.nbytes == pool.nbytes
-            assert detail["set_view"] + detail["node_index"] == detail["total"]
-            assert detail["node_index"] > 0
-            # Every published CSR array resolves to an attached view.
-            assert detail["shm_attached"] > 0
-            assert detail["shm_attached"] <= detail["total"]
-            assert restored._shm_segments
-            # A locally built pool reports zero shared bytes.
-            assert pool.nbytes_detail["shm_attached"] == 0
+            # Big CSR arrays are read-only views of attached arena
+            # segments, not copies.
+            assert not restored.out_dst.flags.writeable
+            published = {
+                ref.segment for ref in payload[0].arrays
+                if isinstance(ref, ShmRef)
+            }
+            assert published <= set(shm.attached_segments())
+            assert len(published) == len(arena)
         finally:
             arena.close()
             _drain_attach_counter()
@@ -334,33 +290,15 @@ class TestCompositeHandlers:
     def test_nbytes_detail_partitions_nbytes_lazily(self, graph):
         pool = FlatRRPool(graph.n)
         pool.extend(graph, Dynamics.IC, 50, np.random.default_rng(1))
-        before = pool.nbytes_detail
+        before = pool.nbytes_detail()
         assert before["node_index"] == 0
-        assert before["total"] == pool.nbytes
+        assert sum(before.values()) == pool.nbytes
         pool.node_index
-        after = pool.nbytes_detail
+        after = pool.nbytes_detail()
         assert after["node_index"] > 0
-        assert after["total"] == pool.nbytes == (
+        assert sum(after.values()) == pool.nbytes == (
             after["set_view"] + after["node_index"]
         )
-
-    def test_snapshot_round_trip(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        masks = sample_live_masks(
-            graph, Dynamics.IC, 1, np.random.default_rng(5)
-        )
-        snap = Snapshot(graph, masks[0])
-        payload, arena = export_shared((snap,), label="snap")
-        assert arena is not None
-        try:
-            (restored,) = resolve_shared(payload)
-            assert isinstance(restored, Snapshot)
-            assert np.array_equal(restored.live, snap.live)
-            assert np.array_equal(restored.graph.out_dst, graph.out_dst)
-            assert restored.reach_count([0, 1]) == snap.reach_count([0, 1])
-        finally:
-            arena.close()
-            _drain_attach_counter()
 
 
 # ----------------------------------------------------------------------
