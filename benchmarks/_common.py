@@ -31,7 +31,6 @@ from repro.diffusion.models import IC, LT, WC, PropagationModel
 from repro.framework import (
     CheckpointJournal,
     IsolationConfig,
-    RetryPolicy,
     cell_key,
     execute_cell,
     write_trace,
@@ -47,7 +46,9 @@ MEMORY_LIMIT_MB = 300.0
 # Hardened-execution knobs, env-switchable so a long sweep can be run
 # process-isolated and resumed after a kill without editing any bench:
 #   REPRO_BENCH_ISOLATE=1     subprocess isolation + preemptive budgets
-#   REPRO_BENCH_RETRIES=n     attempts for transient FAILED/KILLED cells
+#   REPRO_BENCH_RETRIES=n     attempts for transient FAILED/KILLED cells;
+#                             a retry replays the cell on the same
+#                             randomness
 #   REPRO_BENCH_RESUME=1      journal cells under results/journals/ and skip
 #                             already-completed ones on rerun
 #   REPRO_BENCH_MC_WORKERS=n  parallel Monte-Carlo simulation of the
@@ -74,11 +75,15 @@ MEMORY_LIMIT_MB = 300.0
 #                             (default 1 MiB; 0 = always use the arena)
 #   REPRO_SHM_DISABLE=1       force the once-per-worker pickle transport
 #                             for shared args (the arena is default-on)
-#   REPRO_FAULT_RATE=r        arm the chunk fault injector at rate r
-#                             (with REPRO_FAULT_MODE=kill|hang|corrupt|
-#                             raise, REPRO_FAULT_SEED) — chaos-testing
-#                             knob; results stay byte-identical because
-#                             lost chunks replay from their spawn keys
+#   REPRO_FAULT_RATE=r        arm the fault injector (repro.framework.Fault)
+#                             at rate r (with REPRO_FAULT_MODE=kill|hang|
+#                             raise|oom|corrupt, REPRO_FAULT_SEED) —
+#                             chaos-testing knob.  It fires in pool workers
+#                             and, with REPRO_BENCH_ISOLATE=1, in each
+#                             isolated cell's child; results stay
+#                             byte-identical when the fault is recovered,
+#                             because lost chunks replay from their spawn
+#                             keys and retried cells replay their RNG
 BENCH_ISOLATE = os.environ.get("REPRO_BENCH_ISOLATE", "") == "1"
 BENCH_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "1") or "1")
 BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") == "1"
@@ -168,7 +173,7 @@ def run_cell(
 ):
     """One sweep cell under the hardened executor.
 
-    Honours the env knobs above: isolation, bounded retry-with-reseed, and
+    Honours the env knobs above: isolation, bounded replaying retries, and
     journal skip/append when ``journal`` is given (``params``/``scope``
     identify the cell across reruns).  ``score`` is called on an OK record
     before journaling so resumed cells carry their spread estimate.
@@ -189,7 +194,7 @@ def run_cell(
             track_memory=memory_limit_mb is not None,
             telemetry=BENCH_TRACE is not None,
         ),
-        retry=RetryPolicy(max_attempts=max(1, BENCH_RETRIES)),
+        attempts=BENCH_RETRIES,
     )
     if score is not None and record.ok:
         score(record)

@@ -31,7 +31,6 @@ from . import algorithms, datasets, diffusion
 from .framework import (
     CheckpointJournal,
     IsolationConfig,
-    RetryPolicy,
     Telemetry,
     activate,
     cell_key,
@@ -107,8 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "limit becomes a preemptive deadline (DNF) and the "
                           "memory limit an rlimit ceiling (CRASHED)")
     sel.add_argument("--retries", type=int, default=1, metavar="N",
-                     help="attempts for transient FAILED/KILLED cells, each "
-                          "on a derived RNG (default 1 = no retry)")
+                     help="attempts for transient FAILED/KILLED cells; a "
+                          "retry replays the cell on the same randomness "
+                          "(default 1 = no retry)")
     sel.add_argument("--resume", default=None, metavar="JOURNAL",
                      help="JSONL checkpoint journal; a cell already recorded "
                           "there is not re-run")
@@ -208,7 +208,7 @@ def _cmd_select(args) -> int:
                 track_memory=args.memory_limit_mb is not None,
                 telemetry=tele is not None,
             ),
-            retry=RetryPolicy(max_attempts=max(1, args.retries)),
+            attempts=args.retries,
         )
         if journal is not None:
             journal.record(key, record)

@@ -24,7 +24,7 @@ from ..algorithms import registry
 from ..diffusion.models import PropagationModel
 from ..diffusion.simulation import monte_carlo_spread
 from ..graph.digraph import DiGraph
-from .isolation import IsolationConfig, RetryPolicy, execute_cell
+from .isolation import IsolationConfig, execute_cell
 from .metrics import BUDGET_STATUSES, RunRecord, run_with_budget
 from .results import CheckpointJournal, cell_key
 from .skyline import PillarScores
@@ -55,7 +55,8 @@ class SweepConfig:
     propagate_failures: bool = True
     #: Run each selection in a killable subprocess with preemptive budgets.
     isolate: bool = False
-    #: Attempts per cell for transient FAILED/KILLED statuses.
+    #: Attempts per cell for transient FAILED/KILLED statuses; a retry
+    #: replays the cell on the same randomness.
     retries: int = 1
     #: Execution shape of the decoupled MC scoring pass: fan simulations
     #: over a process pool and/or run them through the batched kernels.
@@ -67,18 +68,6 @@ class SweepConfig:
     #: ``extras["telemetry"]`` (see :mod:`repro.framework.telemetry`).
     #: Off by default — the no-op path leaves results byte-identical.
     telemetry: bool = False
-
-    def execution(self) -> tuple[IsolationConfig, RetryPolicy]:
-        return (
-            IsolationConfig(
-                enabled=self.isolate,
-                time_limit_seconds=self.time_limit_seconds,
-                memory_limit_mb=self.memory_limit_mb,
-                track_memory=self.memory_limit_mb is not None,
-                telemetry=self.telemetry,
-            ),
-            RetryPolicy(max_attempts=max(1, self.retries)),
-        )
 
 
 def _score(graph, record: RunRecord, model, config: SweepConfig) -> None:
@@ -109,7 +98,13 @@ def quality_sweep(
     sweep executes only the missing ones; ``scope`` (e.g. the dataset
     name) disambiguates cells when one journal spans several sweeps.
     """
-    isolation, retry = config.execution()
+    isolation = IsolationConfig(
+        enabled=config.isolate,
+        time_limit_seconds=config.time_limit_seconds,
+        memory_limit_mb=config.memory_limit_mb,
+        track_memory=config.memory_limit_mb is not None,
+        telemetry=config.telemetry,
+    )
     results: dict[tuple[str, int], RunRecord] = {}
     for name, params in roster.items():
         last_status = "OK"
@@ -128,7 +123,7 @@ def quality_sweep(
                     model,
                     rng=np.random.default_rng(config.seed + k),
                     config=isolation,
-                    retry=retry,
+                    attempts=config.retries,
                 )
                 _score(graph, record, model, config)
                 if journal is not None:

@@ -27,7 +27,7 @@ from ..algorithms.base import BudgetExceeded, IMAlgorithm, SeedSelectionResult
 from ..diffusion.models import PropagationModel
 from ..graph.digraph import DiGraph
 from . import telemetry as _telemetry
-from .pool import PoolError
+from .pool import Fault, PoolError
 
 __all__ = [
     "ResourceBudget",
@@ -56,7 +56,8 @@ STATUS_KILLED = "KILLED"
 #: and propagated to larger k by the sweep drivers (the paper's concession
 #: for CELF/SIMPATH).
 BUDGET_STATUSES = (STATUS_DNF, STATUS_CRASHED)
-#: Possibly-transient verdicts, eligible for retry-with-reseed.
+#: Possibly-transient verdicts: the statuses ``execute_cell(attempts=n)``
+#: retries, each retry replaying the cell on the same randomness.
 FAILURE_STATUSES = (STATUS_FAILED, STATUS_KILLED)
 
 
@@ -206,6 +207,7 @@ def run_with_budget(
     memory_limit_mb: float | None = None,
     track_memory: bool = True,
     telemetry: "_telemetry.Telemetry | None" = None,
+    fault: Fault | None = None,
 ) -> tuple[RunRecord, SeedSelectionResult | None]:
     """Run seed selection under a budget, mapping violations to statuses.
 
@@ -220,6 +222,11 @@ def run_with_budget(
     span tree shows which phase died.  ``None`` inherits whatever handle
     is already ambient (usually :data:`repro.framework.telemetry.NULL`),
     leaving records untouched.
+
+    ``fault`` is fired inside the measured block and the ``select:``
+    span, just before selection; only the isolated cell's child passes
+    one (see :func:`~repro.framework.isolation.execute_cell`), so an
+    injected fault maps to a status exactly like a real one.
     """
     if memory_limit_mb is not None and not track_memory:
         raise ValueError(
@@ -241,6 +248,8 @@ def run_with_budget(
     with measure(track_memory=track_memory) as sink, activation as tele:
         try:
             with tele.span(f"select:{algorithm.name}"):
+                if fault is not None:
+                    fault.fire()
                 result = algorithm.select(graph, k, model, rng=rng, budget=budget)
         except BudgetExceeded as exc:
             status = exc.status

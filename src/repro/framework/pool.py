@@ -14,18 +14,21 @@ as a ``SeedSequence`` spawn-key state.  Re-executing a chunk therefore
 reproduces its output byte-for-byte, which is what lets the pool recover
 instead of restart:
 
-* **Worker death** (``BrokenProcessPool``) — salvage every chunk result
-  already delivered, respawn the executor, and re-execute only the lost
-  chunks.  ``pool.worker_restarts`` / ``pool.chunks_salvaged`` count it.
+* **Worker death** (``BrokenProcessPool``, at a result or at submit) —
+  salvage every chunk result already delivered, respawn the executor, and
+  re-execute only the lost chunks.  ``pool.worker_restarts`` /
+  ``pool.chunks_salvaged`` count it.
 * **Hung workers** — an optional stall deadline (no chunk completes for
   ``stall_timeout_seconds``) hard-kills the executor and takes the same
   respawn path, so a wedged worker costs one window, not the sweep.
+  A caller's ``tick`` (its budget check) also runs while the pool waits,
+  so a cooperative time limit preempts hung workers too.
 * **Chunk failures** (an exception out of the chunk fn, or a corrupt
   result detected by checksum under fault injection) — bounded retry with
-  exponential backoff.  Retries re-run the same (fn, args) pair, so the
-  deterministic-reseed semantics of
-  :class:`~repro.framework.isolation.RetryPolicy` hold with no RNG
-  bookkeeping: the spawn key *is* the seed.  ``pool.chunk_retries``.
+  exponential backoff.  A retry replays the same (fn, args) pair, so it
+  runs on the same randomness with no RNG bookkeeping: the spawn key *is*
+  the seed.  Cells follow the same replay rule
+  (:func:`~repro.framework.isolation.execute_cell`).  ``pool.chunk_retries``.
 * **Poison chunks** — after ``retries`` attributable failures the chunk
   is quarantined: :class:`ChunkQuarantined` propagates with structured
   ``details`` that :func:`~repro.framework.metrics.run_with_budget` maps
@@ -53,13 +56,16 @@ graph size.  The arena is torn down in a ``finally`` so every exit path
 — completion, quarantine, interrupt, serial downgrade — unlinks its
 segments.
 
-:class:`ChunkFaultInjector` is the test harness: rate-controlled
-kill / hang / corrupt / raise faults, armed through ``REPRO_FAULT_*``
-environment variables so they reach the worker wrapper in any process.
-Fault draws are a deterministic hash of ``(seed, chunk index, attempt)``
-— reproducible, and a retried chunk draws afresh so injected faults are
-transient by construction.  When no injector is armed the wrapper adds
-no checksum, no hash draw, and no extra pickling to the hot path.
+:class:`Fault` is the test harness for both process boundaries of a
+cell: pool workers here and the isolated cell's child
+(:mod:`repro.framework.isolation`).  It is armed through ``REPRO_FAULT_*``
+environment variables, so it reaches a worker in any process, and it
+fires only in child processes: serial, nested-serial and downgraded
+chunks never inject.  Fault draws are a deterministic hash of
+``(seed, index, attempt)`` — reproducible, and a retry draws afresh so
+injected faults are transient by construction.  When no fault is armed
+the worker wrapper adds no checksum, no hash draw, and no extra pickling
+to the hot path.
 
 This module deliberately imports only the standard library and
 :mod:`repro.framework.telemetry` so the diffusion engines can reach it
@@ -68,6 +74,7 @@ lazily without import cycles.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -85,16 +92,26 @@ __all__ = [
     "PoolConfig",
     "PoolError",
     "ChunkQuarantined",
-    "InjectedChunkFault",
     "ResilientPool",
     "run_chunks",
-    "ChunkFaultInjector",
-    "FaultSpec",
+    "Fault",
+    "armed_fault",
 ]
 
 
 # ----------------------------------------------------------------------
 # Configuration
+
+#: Base of the exponential per-retry backoff (seconds).
+_BACKOFF_SECONDS = 0.05
+#: Seconds a terminated (or finished) child gets to exit before SIGKILL.
+_GRACE_SECONDS = 1.0
+#: While a caller's ``tick`` is set, the pool wakes this often to run it
+#: even when no chunk completes (a hung worker must not outlive a budget).
+#: Well above a healthy first completion (~15 ms), so a fast fan-out
+#: still ticks once per chunk.
+_TICK_SECONDS = 0.25
+
 
 def _env_int(name: str, default: int) -> int:
     try:
@@ -124,7 +141,6 @@ class PoolConfig:
     * ``REPRO_BENCH_POOL_RETRIES`` → :attr:`retries`
     * ``REPRO_POOL_MAX_RESTARTS``  → :attr:`max_restarts`
     * ``REPRO_POOL_STALL_TIMEOUT`` → :attr:`stall_timeout_seconds`
-    * ``REPRO_POOL_BACKOFF``       → :attr:`backoff_seconds`
     """
 
     #: Attributable failures (chunk exception, corrupt result) tolerated
@@ -136,10 +152,6 @@ class PoolConfig:
     #: (``None`` disables stall detection — a healthy-but-slow chunk is
     #: indistinguishable from a hang without a caller-chosen deadline).
     stall_timeout_seconds: float | None = None
-    #: Base of the exponential per-retry backoff (seconds).
-    backoff_seconds: float = 0.05
-    #: Seconds to wait for a terminated worker before SIGKILL.
-    grace_seconds: float = 1.0
 
     @classmethod
     def from_env(cls) -> "PoolConfig":
@@ -147,8 +159,6 @@ class PoolConfig:
             retries=max(1, _env_int("REPRO_BENCH_POOL_RETRIES", cls.retries)),
             max_restarts=max(0, _env_int("REPRO_POOL_MAX_RESTARTS", cls.max_restarts)),
             stall_timeout_seconds=_env_float("REPRO_POOL_STALL_TIMEOUT", None),
-            backoff_seconds=_env_float("REPRO_POOL_BACKOFF", cls.backoff_seconds)
-            or cls.backoff_seconds,
         )
 
 
@@ -167,129 +177,124 @@ class ChunkQuarantined(PoolError):
     """A chunk kept failing attributably and was marked poison."""
 
 
-class InjectedChunkFault(RuntimeError):
-    """Raised inside a worker by the ``raise`` fault mode."""
-
-
 # ----------------------------------------------------------------------
 # Fault injection
 
-FAULT_MODES = ("kill", "hang", "corrupt", "raise")
+FAULT_MODES = ("raise", "hang", "kill", "oom", "corrupt")
 _FAULT_EXIT_CODE = 113
+_OOM_STEP_MB = 16
+_OOM_CAP_MB = 256
+#: ``Fault`` field → the environment variable that arms it.
+_FAULT_ENV = {
+    "mode": "REPRO_FAULT_MODE",
+    "rate": "REPRO_FAULT_RATE",
+    "seed": "REPRO_FAULT_SEED",
+    "hang_seconds": "REPRO_FAULT_HANG_SECONDS",
+}
 
 
-@dataclass(frozen=True)
-class FaultSpec:
-    """An armed fault: mode, rate, and the deterministic draw seed."""
+@dataclass
+class Fault:
+    """A rate-controlled fault fired at a cell's process boundaries.
+
+    ``with Fault(...):`` arms it for the block by setting (and on exit
+    restoring) the ``REPRO_FAULT_*`` variables, so it reaches every
+    process — the CI chaos job arms the same variables externally::
+
+        with Fault("kill", rate=0.2, seed=7):
+            pool.extend(graph, dynamics, 4000, rng, workers=4)
+
+    It fires only in a child process: a pool worker draws
+    :meth:`fires` per ``(chunk, attempt)``, an isolated cell's child per
+    ``(0, attempt)``.  In-process cells and serial or downgraded chunks
+    never inject — a ``kill`` fired there would take the parent down.
+
+    Modes: ``raise`` (a ``RuntimeError`` → ``FAILED`` cell or chunk
+    retry), ``hang`` (sleep ``hang_seconds`` without any budget check →
+    preemptive ``DNF``, or a stall reclaim in a pool with
+    ``stall_timeout_seconds``), ``kill`` (``os._exit(113)`` → ``KILLED``
+    cell or ``BrokenProcessPool``), ``oom`` (allocate 16 MB blocks up to
+    256 MB, then ``MemoryError`` → ``CRASHED``), ``corrupt`` (the pool
+    perturbs the chunk result after checksumming, so the parent detects
+    and retries it; nothing at a cell).
+    """
 
     mode: str
-    rate: float
+    rate: float = 1.0
     seed: int = 0
     hang_seconds: float = 30.0
 
-
-def active_fault_spec() -> FaultSpec | None:
-    """The injector armed via ``REPRO_FAULT_*``, or ``None``."""
-    rate = _env_float("REPRO_FAULT_RATE", None)
-    if rate is None or rate <= 0.0:
-        return None
-    mode = os.environ.get("REPRO_FAULT_MODE", "kill")
-    if mode not in FAULT_MODES:
-        return None
-    return FaultSpec(
-        mode=mode,
-        rate=min(1.0, rate),
-        seed=_env_int("REPRO_FAULT_SEED", 0),
-        hang_seconds=_env_float("REPRO_FAULT_HANG_SECONDS", 30.0) or 30.0,
-    )
-
-
-def fault_fires(spec: FaultSpec, index: int, attempt: int) -> bool:
-    """Deterministic rate draw for ``(chunk, attempt)``.
-
-    A hash draw instead of an RNG stream: reproducible across processes,
-    independent of draw order, and varying with ``attempt`` so a retried
-    chunk is not doomed to refire the same fault forever.
-    """
-    token = f"{spec.seed}:{index}:{attempt}".encode()
-    digest = hashlib.sha256(token).digest()
-    draw = int.from_bytes(digest[:8], "big") / 2.0**64
-    return draw < spec.rate
-
-
-class ChunkFaultInjector:
-    """Arm rate-controlled chunk faults for the enclosed block.
-
-    Context manager used by the chaos suite (and the CI chaos job, which
-    arms the same variables externally)::
-
-        with ChunkFaultInjector(mode="kill", rate=0.2, seed=7):
-            pool.extend(graph, dynamics, 4000, rng, workers=4)
-
-    Modes: ``kill`` (``os._exit`` → ``BrokenProcessPool``), ``hang``
-    (sleep ``hang_seconds`` before computing — pair with
-    ``stall_timeout`` so the parent reclaims the worker), ``corrupt``
-    (perturb the result after checksumming, so the parent detects and
-    retries), ``raise`` (an exception out of the chunk fn).  Serial
-    downgrade never injects: it is the last-resort correctness path.
-    """
-
-    _KEYS = (
-        "REPRO_FAULT_RATE",
-        "REPRO_FAULT_MODE",
-        "REPRO_FAULT_SEED",
-        "REPRO_FAULT_HANG_SECONDS",
-        "REPRO_POOL_STALL_TIMEOUT",
-    )
-
-    def __init__(
-        self,
-        mode: str = "kill",
-        rate: float = 0.2,
-        seed: int = 0,
-        hang_seconds: float = 2.0,
-        stall_timeout: float | None = None,
-    ) -> None:
-        if mode not in FAULT_MODES:
+    def __post_init__(self) -> None:
+        if self.mode not in FAULT_MODES:
             raise ValueError(
-                f"unknown fault mode {mode!r}; options: {', '.join(FAULT_MODES)}"
+                f"unknown fault mode {self.mode!r}; options: {', '.join(FAULT_MODES)}"
             )
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError("rate must be in [0, 1]")
-        self.mode = mode
-        self.rate = rate
-        self.seed = seed
-        self.hang_seconds = hang_seconds
-        self.stall_timeout = stall_timeout
-        self._saved: dict[str, str | None] = {}
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(f"fault rate must be in [0, 1], got {self.rate}")
 
-    def __enter__(self) -> "ChunkFaultInjector":
-        values = {
-            "REPRO_FAULT_RATE": str(self.rate),
-            "REPRO_FAULT_MODE": self.mode,
-            "REPRO_FAULT_SEED": str(self.seed),
-            "REPRO_FAULT_HANG_SECONDS": str(self.hang_seconds),
-            "REPRO_POOL_STALL_TIMEOUT": (
-                str(self.stall_timeout) if self.stall_timeout is not None else None
-            ),
-        }
-        for key in self._KEYS:
-            self._saved[key] = os.environ.get(key)
-            value = values[key]
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+    def fires(self, index: int, attempt: int) -> bool:
+        """Deterministic rate draw for ``(index, attempt)``.
+
+        A hash draw instead of an RNG stream: reproducible across
+        processes, independent of draw order, and varying with
+        ``attempt`` so a retry is not doomed to refire the same fault.
+        """
+        token = f"{self.seed}:{index}:{attempt}".encode()
+        digest = hashlib.sha256(token).digest()
+        draw = int.from_bytes(digest[:8], "big") / 2.0**64
+        return draw < self.rate
+
+    def fire(self) -> None:
+        """Act out the fault in this process (``corrupt`` is the pool's)."""
+        if self.mode == "kill":
+            os._exit(_FAULT_EXIT_CODE)
+        if self.mode == "raise":
+            raise RuntimeError("injected fault")
+        if self.mode == "hang":
+            deadline = time.perf_counter() + self.hang_seconds
+            while time.perf_counter() < deadline:
+                time.sleep(0.02)
+        if self.mode == "oom":
+            blocks = []
+            while len(blocks) * _OOM_STEP_MB < _OOM_CAP_MB:
+                blocks.append(bytearray(_OOM_STEP_MB << 20))
+            raise MemoryError(f"injected over-allocation capped at {_OOM_CAP_MB} MB")
+
+    def __enter__(self) -> "Fault":
+        self._saved = {name: os.environ.get(name) for name in _FAULT_ENV.values()}
+        for field, name in _FAULT_ENV.items():
+            os.environ[name] = str(getattr(self, field))
         return self
 
     def __exit__(self, *exc) -> bool:
-        for key, previous in self._saved.items():
+        for name, previous in self._saved.items():
             if previous is None:
-                os.environ.pop(key, None)
+                os.environ.pop(name, None)
             else:
-                os.environ[key] = previous
-        self._saved.clear()
+                os.environ[name] = previous
         return False
+
+
+def armed_fault() -> Fault | None:
+    """The fault armed through ``REPRO_FAULT_*``, or ``None``.
+
+    Armed when ``REPRO_FAULT_RATE`` is set and positive; the mode
+    defaults to ``kill``.  A malformed variable raises a ``ValueError``
+    naming it instead of silently disarming the chaos run.
+    """
+    if not os.environ.get("REPRO_FAULT_RATE"):
+        return None
+    fault = Fault("kill")
+    for field, name in _FAULT_ENV.items():
+        raw = os.environ.get(name)
+        if not raw:
+            continue
+        try:
+            value = type(getattr(fault, field))(raw)  # the default's type
+            fault = dataclasses.replace(fault, **{field: value})
+        except ValueError as exc:
+            raise ValueError(f"{name}={raw!r}: {exc}") from None
+    return fault if fault.rate > 0.0 else None
 
 
 def _result_digest(value: Any) -> int:
@@ -302,28 +307,19 @@ def _execute_chunk(
     args: tuple,
     index: int,
     attempt: int,
-    spec: FaultSpec | None,
+    fault: Fault | None,
     has_shared: bool = False,
 ) -> tuple[int, int | None, Any, dict[str, int] | None]:
-    """Worker-side wrapper: run one chunk, applying any armed fault.
+    """Worker-side wrapper: run one chunk, firing any armed fault.
 
     Returns ``(index, digest, value, meta)``; ``digest`` is ``None`` (and
-    no extra pickling happens) when no injector is armed.  ``meta``
+    no extra pickling happens) when no fault is armed.  ``meta``
     carries worker-side counter deltas (shared-memory attaches) for the
     parent to fold into its telemetry — ``None`` when there are none.
     """
-    fired = spec is not None and fault_fires(spec, index, attempt)
+    fired = fault is not None and fault.fires(index, attempt)
     if fired:
-        if spec.mode == "kill":
-            os._exit(_FAULT_EXIT_CODE)
-        if spec.mode == "raise":
-            raise InjectedChunkFault(
-                f"injected failure in chunk {index} (attempt {attempt})"
-            )
-        if spec.mode == "hang":
-            deadline = time.perf_counter() + spec.hang_seconds
-            while time.perf_counter() < deadline:
-                time.sleep(0.02)
+        fault.fire()
     meta = None
     if has_shared:
         from . import shm as _shm  # lazy: pickle-only pools skip numpy
@@ -332,12 +328,37 @@ def _execute_chunk(
         meta = _shm.attach_meta()
     else:
         value = fn(*args)
-    if spec is None:
+    if fault is None:
         return index, None, value, meta
     digest = _result_digest(value)
-    if fired and spec.mode == "corrupt":
+    if fired and fault.mode == "corrupt":
         value = ("__corrupt__", value)
     return index, digest, value, meta
+
+
+def reap(procs: Sequence[Any], force: bool) -> None:
+    """Leave none of ``procs`` running: terminate → grace → kill.
+
+    ``force`` sends SIGTERM first; either way every process gets
+    ``_GRACE_SECONDS`` (one shared deadline) to exit before SIGKILL.
+    Shared by the pool's executor teardown and the isolated cell's child.
+    """
+    if force:
+        for proc in procs:
+            try:
+                if proc.is_alive():
+                    proc.terminate()
+            except (OSError, ValueError):  # pragma: no cover - already reaped
+                continue
+    deadline = time.monotonic() + _GRACE_SECONDS
+    for proc in procs:
+        try:
+            proc.join(max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join(_GRACE_SECONDS)
+        except (OSError, ValueError):  # pragma: no cover - already reaped
+            continue
 
 
 # ----------------------------------------------------------------------
@@ -409,7 +430,7 @@ class ResilientPool:
 
         cfg = self.config
         tele = _telemetry.current()
-        spec = active_fault_spec()
+        fault = armed_fault()
         tele.count("pool.chunks", n)
         payload, arena = shared, None
         if shared:
@@ -437,7 +458,7 @@ class ResilientPool:
                 )
                 try:
                     collapsed = self._drain(
-                        executor, fn, arg_tuples, spec,
+                        executor, fn, arg_tuples, fault,
                         results, attempts, failures, remaining, tick,
                         has_shared=bool(shared),
                     )
@@ -523,29 +544,12 @@ class ResilientPool:
                 tick()
         return out
 
-    def _submit(
-        self,
-        executor: ProcessPoolExecutor,
-        fn: Callable[..., Any],
-        arg_tuples: Sequence[tuple],
-        spec: FaultSpec | None,
-        attempts: list[int],
-        index: int,
-        has_shared: bool = False,
-    ) -> Future:
-        future = executor.submit(
-            _execute_chunk, fn, arg_tuples[index], index, attempts[index], spec,
-            has_shared,
-        )
-        attempts[index] += 1
-        return future
-
     def _drain(
         self,
         executor: ProcessPoolExecutor,
         fn: Callable[..., Any],
         arg_tuples: Sequence[tuple],
-        spec: FaultSpec | None,
+        fault: Fault | None,
         results: list[Any],
         attempts: list[int],
         failures: list[int],
@@ -556,21 +560,44 @@ class ResilientPool:
         """One executor generation; returns True when it collapsed."""
         cfg = self.config
         tele = _telemetry.current()
-        futures: dict[Future, int] = {
-            self._submit(executor, fn, arg_tuples, spec, attempts, i,
-                         has_shared): i
-            for i in sorted(remaining)
-        }
+        futures: dict[Future, int] = {}
+
+        def submit(index: int) -> Future | None:
+            try:
+                future = executor.submit(
+                    _execute_chunk, fn, arg_tuples[index], index,
+                    attempts[index], fault, has_shared,
+                )
+            except (BrokenProcessPool, RuntimeError):
+                # A worker died and the executor refuses new work (even
+                # before the fan-out is fully submitted): a collapse.  The
+                # chunk is still in ``remaining`` and replays after respawn.
+                return None
+            attempts[index] += 1
+            futures[future] = index
+            return future
+
+        if any(submit(i) is None for i in sorted(remaining)):
+            return True
         pending = set(futures)
+        stall = cfg.stall_timeout_seconds
+        quiet_since = time.monotonic()
         while pending:
+            windows = [_TICK_SECONDS] if tick is not None else []
+            if stall is not None:
+                windows.append(max(0.0, quiet_since + stall - time.monotonic()))
             done, pending = wait(
-                pending, timeout=cfg.stall_timeout_seconds,
+                pending, timeout=min(windows, default=None),
                 return_when=FIRST_COMPLETED,
             )
             if not done:
-                # Stall: nothing finished inside the window — treat the
-                # executor as wedged and reclaim its workers.
-                return True
+                if stall is not None and time.monotonic() - quiet_since >= stall:
+                    # Stall: nothing finished inside the window — treat
+                    # the executor as wedged and reclaim its workers.
+                    return True
+                if tick is not None:
+                    tick()  # the budget still runs while workers hang
+                continue
             collapsed = False
             for future in done:
                 index = futures[future]
@@ -614,21 +641,15 @@ class ResilientPool:
                         },
                     ) from error
                 tele.count("pool.chunk_retries")
-                time.sleep(cfg.backoff_seconds * 2.0 ** (failures[index] - 1))
-                try:
-                    retry = self._submit(
-                        executor, fn, arg_tuples, spec, attempts, index,
-                        has_shared,
-                    )
-                except (BrokenProcessPool, RuntimeError):
-                    # The executor died under us mid-retry; the chunk is
-                    # still in ``remaining`` and replays after respawn.
+                time.sleep(_BACKOFF_SECONDS * 2.0 ** (failures[index] - 1))
+                retry = submit(index)
+                if retry is None:
                     collapsed = True
-                    continue
-                futures[retry] = index
-                pending.add(retry)
+                else:
+                    pending.add(retry)
             if collapsed:
                 return True
+            quiet_since = time.monotonic()
         return False
 
     def _shutdown(self, executor: ProcessPoolExecutor, force: bool) -> None:
@@ -645,21 +666,7 @@ class ResilientPool:
         except Exception:  # pragma: no cover - broken executor internals
             pass
         if force:
-            for proc in procs:
-                try:
-                    if proc.is_alive():
-                        proc.terminate()
-                except Exception:  # pragma: no cover - already reaped
-                    continue
-            deadline = time.perf_counter() + self.config.grace_seconds
-            for proc in procs:
-                try:
-                    proc.join(max(0.0, deadline - time.perf_counter()))
-                    if proc.is_alive():
-                        proc.kill()
-                        proc.join(self.config.grace_seconds)
-                except Exception:  # pragma: no cover - already reaped
-                    continue
+            reap(procs, force=True)
 
 
 def run_chunks(

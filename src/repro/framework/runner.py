@@ -9,8 +9,9 @@ stopping at the cheapest setting whose spread has not degraded
 
 Execution is hardened (see :mod:`repro.framework.isolation`): each pass
 can run process-isolated under preemptive budgets, transient failures can
-be retried on derived RNGs, and completed cells can be journaled so a
-killed spectrum walk resumes without re-running finished work.
+be retried (a retry replays the pass on the same randomness), and
+completed cells can be journaled so a killed spectrum walk resumes
+without re-running finished work.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ..diffusion.simulation import SpreadEstimate, monte_carlo_spread
 from ..graph.digraph import DiGraph
 from . import telemetry as _telemetry
 from .convergence import converged
-from .isolation import IsolationConfig, RetryPolicy, derive_rng, execute_cell
+from .isolation import IsolationConfig, derive_rng, execute_cell
 from .metrics import RunRecord
 from .results import CheckpointJournal, cell_key
 
@@ -103,9 +104,10 @@ class IMFramework:
         selection pass executes (subprocess + preemptive budgets).  When
         omitted, passes run cooperatively in-process under the framework's
         ``time_limit_seconds``/``memory_limit_mb``.
-    retry:
-        Optional :class:`RetryPolicy` for transient ``FAILED``/``KILLED``
-        cells.
+    retries:
+        Attempts per selection pass for transient ``FAILED``/``KILLED``
+        statuses (1 = no retry); each retry replays the pass on the same
+        randomness.
     journal:
         Optional :class:`CheckpointJournal` (or a path) — completed cells
         are appended and a rerun skips them.  ``journal_scope`` (e.g. a
@@ -140,7 +142,7 @@ class IMFramework:
         memory_limit_mb: float | None = None,
         track_memory: bool = False,
         isolation: IsolationConfig | None = None,
-        retry: RetryPolicy | None = None,
+        retries: int = 1,
         journal: CheckpointJournal | str | os.PathLike | None = None,
         journal_scope: str | None = None,
         mc_workers: int | None = None,
@@ -158,7 +160,7 @@ class IMFramework:
         # rejects that combination outright).
         self.track_memory = track_memory or memory_limit_mb is not None
         self.isolation = isolation
-        self.retry = retry
+        self.retries = retries
         if journal is not None and not isinstance(journal, CheckpointJournal):
             journal = CheckpointJournal(journal)
         self.journal = journal
@@ -205,7 +207,7 @@ class IMFramework:
             self.model,
             rng=select_rng,
             config=self._isolation_config(),
-            retry=self.retry,
+            attempts=self.retries,
         )
         if self.telemetry is not None:
             self.telemetry.absorb(record.extras.get("telemetry"))

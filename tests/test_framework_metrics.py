@@ -160,12 +160,11 @@ class TestFailureTaxonomy:
         assert STATUS_OK not in BUDGET_STATUSES + FAILURE_STATUSES
 
     def test_unexpected_exception_becomes_failed(self, small_graph, rng):
-        from repro.framework.isolation import FaultInjector
+        class Boom(Degree):
+            def _select(self, *args):
+                raise KeyError("boom")
 
-        algo = FaultInjector(
-            Degree(), fault="raise", exception=KeyError("boom")
-        )
-        record, result = run_with_budget(algo, small_graph, 3, IC, rng=rng)
+        record, result = run_with_budget(Boom(), small_graph, 3, IC, rng=rng)
         assert record.status == STATUS_FAILED
         assert not record.ok
         assert result is None

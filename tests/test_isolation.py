@@ -1,10 +1,15 @@
 """End-to-end tests for the hardened execution layer.
 
 Every status of the failure taxonomy (OK / DNF / CRASHED / FAILED /
-KILLED) is driven through the isolated executor via the fault injector —
-crucially *without* the faulty algorithm ever calling ``budget.check()``,
-proving the enforcement is preemptive, not cooperative.  Retry-with-reseed
-determinism and checkpoint/resume round-trips are exercised the same way.
+KILLED) is driven through the isolated cell by an armed ``Fault`` —
+crucially *without* the technique ever calling ``budget.check()``,
+proving the enforcement is preemptive, not cooperative.  Retry replay
+(a recovered cell reports the fault-free seeds) and checkpoint/resume
+round-trips are exercised the same way.
+
+Fault draws are pinned: ``Fault.fires(0, attempt)`` is
+``sha256(f"{seed}:0:{attempt}")`` against the rate, so at rate 0.5
+seed 1 fires on attempt 0 only and seed 15 on attempts 0 and 1.
 """
 
 import json
@@ -20,9 +25,7 @@ from repro.cli import main
 from repro.diffusion.models import Dynamics, WC
 from repro.framework.experiments import SweepConfig, quality_sweep
 from repro.framework.isolation import (
-    FaultInjector,
     IsolationConfig,
-    RetryPolicy,
     derive_rng,
     execute_cell,
     isolation_supported,
@@ -36,6 +39,7 @@ from repro.framework.metrics import (
     RunRecord,
     run_with_budget,
 )
+from repro.framework.pool import Fault, run_chunks
 from repro.framework.results import CheckpointJournal, append_record, cell_key
 from repro.framework.runner import IMFramework
 from repro.graph.digraph import DiGraph
@@ -91,32 +95,36 @@ class TestDeriveRng:
         assert parent.bit_generator.state == before
 
 
-class TestFaultInjectorCooperative:
-    def test_passthrough_keeps_identity(self, graph, rng):
-        algo = FaultInjector(Degree(), fault="none")
-        record, result = run_with_budget(algo, graph, 3, WC, rng=rng)
-        assert record.status == STATUS_OK
-        assert record.algorithm == "Degree"
-        assert result is not None and len(result.seeds) == 3
+def _square(x):
+    return x * x
 
+
+class TestFaultInjectorCooperative:
     def test_raise_becomes_failed_not_crash(self, graph, rng):
         record, result = run_with_budget(
-            FaultInjector(Degree(), fault="raise"), graph, 3, WC, rng=rng
+            FaultyCounting(tag=0), graph, 3, WC, rng=rng
         )
         assert record.status == STATUS_FAILED
         assert result is None
         assert "injected fault" in record.extras["failure"]["traceback"]
 
-    def test_transient_fault_clears_after_fail_times(self, graph, rng):
-        algo = FaultInjector(Degree(), fault="raise", fail_times=1)
-        first, __ = run_with_budget(algo, graph, 3, WC, rng=rng)
-        second, __ = run_with_budget(algo, graph, 3, WC, rng=rng)
-        assert first.status == STATUS_FAILED
-        assert second.status == STATUS_OK
-
     def test_unknown_fault_rejected(self):
         with pytest.raises(ValueError, match="unknown fault"):
-            FaultInjector(Degree(), fault="lightning")
+            Fault("lightning")
+
+    def test_armed_fault_never_fires_in_process(self, graph, rng):
+        """Faults fire only in child processes: an in-process cell and a
+        serial fan-out run clean under an always-firing fault."""
+        with Fault("raise"):
+            record, __ = execute_cell(
+                Degree(), graph, 3, WC, rng=rng,
+                config=IsolationConfig(enabled=False),
+            )
+            assert run_chunks(_square, [(i,) for i in range(3)], workers=1) == [
+                0, 1, 4,
+            ]
+        assert record.status == STATUS_OK
+        assert record.extras["attempts"] == 1
 
 
 @needs_isolation
@@ -132,43 +140,41 @@ class TestIsolatedStatuses:
         assert result.seeds == record.seeds
 
     def test_hang_preempted_to_dnf_without_budget_check(self, graph, rng):
-        algo = FaultInjector(Degree(), fault="hang", hang_seconds=20.0)
-        record, result = execute_cell(
-            algo, graph, 3, WC, rng=rng,
-            config=IsolationConfig(enabled=True, time_limit_seconds=0.5),
-        )
+        with Fault("hang", hang_seconds=20.0):
+            record, result = execute_cell(
+                Degree(), graph, 3, WC, rng=rng,
+                config=IsolationConfig(enabled=True, time_limit_seconds=0.5),
+            )
         assert record.status == STATUS_DNF
         assert result is None
         assert record.extras["enforcement"] == "preemptive-kill"
         assert record.elapsed_seconds < 15.0
 
     def test_overallocation_crashed(self, graph, rng):
-        algo = FaultInjector(
-            Degree(), fault="oom", alloc_step_mb=16, alloc_cap_mb=256
-        )
-        record, result = execute_cell(
-            algo, graph, 3, WC, rng=rng,
-            config=IsolationConfig(
-                enabled=True, time_limit_seconds=60.0, memory_limit_mb=64.0
-            ),
-        )
+        with Fault("oom"):
+            record, result = execute_cell(
+                Degree(), graph, 3, WC, rng=rng,
+                config=IsolationConfig(
+                    enabled=True, time_limit_seconds=60.0, memory_limit_mb=64.0
+                ),
+            )
         assert record.status == STATUS_CRASHED
         assert result is None
         assert record.extras.get("memory_enforcement") in ("rlimit", "tracemalloc")
 
     def test_raise_failed_with_traceback(self, graph, rng):
-        algo = FaultInjector(Degree(), fault="raise")
-        record, __ = execute_cell(algo, graph, 3, WC, rng=rng, config=ISOLATED)
+        with Fault("raise"):
+            record, __ = execute_cell(Degree(), graph, 3, WC, rng=rng, config=ISOLATED)
         assert record.status == STATUS_FAILED
         failure = record.extras["failure"]
         assert failure["type"] == "RuntimeError"
         assert "injected fault" in failure["traceback"]
 
     def test_hard_exit_killed(self, graph, rng):
-        algo = FaultInjector(Degree(), fault="exit", exit_code=13)
-        record, __ = execute_cell(algo, graph, 3, WC, rng=rng, config=ISOLATED)
+        with Fault("kill"):
+            record, __ = execute_cell(Degree(), graph, 3, WC, rng=rng, config=ISOLATED)
         assert record.status == STATUS_KILLED
-        assert record.extras["failure"]["exitcode"] == 13
+        assert record.extras["failure"]["exitcode"] == 113
 
     def test_disabled_config_runs_in_process(self, graph, rng):
         record, __ = execute_cell(
@@ -181,60 +187,54 @@ class TestIsolatedStatuses:
 
 @needs_isolation
 class TestRetryPolicy:
-    def test_transient_failure_retried_to_ok(self, graph, tmp_path):
-        algo = FaultInjector(
-            Degree(), fault="raise", fail_times=2,
-            state_file=tmp_path / "count",
-        )
-        record, result = execute_cell(
-            algo, graph, 3, WC, rng=np.random.default_rng(7),
-            config=ISOLATED, retry=RetryPolicy(max_attempts=3),
-        )
+    def test_transient_failure_retried_to_ok(self, graph):
+        # seed 15 @ rate .5 fires on attempts 0 and 1, not on attempt 2.
+        with Fault("raise", rate=0.5, seed=15):
+            record, result = execute_cell(
+                Degree(), graph, 3, WC, rng=np.random.default_rng(7),
+                config=ISOLATED, attempts=3,
+            )
         assert record.status == STATUS_OK
         assert result is not None
         assert record.extras["attempts"] == 3
         assert record.extras["attempt_history"] == [STATUS_FAILED, STATUS_FAILED]
 
     def test_exhausted_attempts_keep_last_failure(self, graph):
-        algo = FaultInjector(Degree(), fault="raise")
-        record, __ = execute_cell(
-            algo, graph, 3, WC, rng=np.random.default_rng(7),
-            config=ISOLATED, retry=RetryPolicy(max_attempts=2),
-        )
+        with Fault("raise"):
+            record, __ = execute_cell(
+                Degree(), graph, 3, WC, rng=np.random.default_rng(7),
+                config=ISOLATED, attempts=2,
+            )
         assert record.status == STATUS_FAILED
         assert record.extras["attempts"] == 2
 
-    def test_budget_statuses_not_retried(self, graph, tmp_path):
-        state = tmp_path / "count"
-        algo = FaultInjector(
-            Degree(), fault="hang", hang_seconds=20.0, state_file=state
-        )
-        record, __ = execute_cell(
-            algo, graph, 3, WC, rng=np.random.default_rng(7),
-            config=IsolationConfig(enabled=True, time_limit_seconds=0.4),
-            retry=RetryPolicy(max_attempts=3),
-        )
-        assert record.status == STATUS_DNF
-        assert record.extras["attempts"] == 1
-        assert int(state.read_text()) == 1  # a DNF never re-ran
-
-    def test_reseed_is_deterministic(self, graph, tmp_path):
-        def run_once(tag):
-            algo = FaultInjector(
-                registry.make("RIS", num_rr_sets=80),
-                fault="raise", fail_times=1,
-                state_file=tmp_path / f"count-{tag}",
-            )
+    def test_budget_statuses_not_retried(self, graph):
+        with Fault("hang", hang_seconds=20.0):
             record, __ = execute_cell(
-                algo, graph, 4, WC, rng=np.random.default_rng(11),
-                config=ISOLATED, retry=RetryPolicy(max_attempts=2, reseed=True),
+                Degree(), graph, 3, WC, rng=np.random.default_rng(7),
+                config=IsolationConfig(enabled=True, time_limit_seconds=0.4),
+                attempts=3,
+            )
+        assert record.status == STATUS_DNF
+        assert record.extras["attempts"] == 1  # a DNF never re-ran
+
+    def test_retry_replays_fault_free_seeds(self, graph):
+        """A cell killed once and retried reports the unfaulted seeds."""
+        def run_once():
+            record, __ = execute_cell(
+                registry.make("RIS", num_rr_sets=80), graph, 4, WC,
+                rng=np.random.default_rng(11), config=ISOLATED, attempts=2,
             )
             return record
 
-        first, second = run_once("a"), run_once("b")
+        clean = run_once()
+        # seed 1 @ rate .5 kills attempt 0 only.
+        with Fault("kill", rate=0.5, seed=1):
+            first, second = run_once(), run_once()
         assert first.status == STATUS_OK == second.status
         assert first.extras["attempts"] == 2 == second.extras["attempts"]
-        assert first.seeds == second.seeds
+        assert first.extras["attempt_history"] == [STATUS_KILLED]
+        assert first.seeds == second.seeds == clean.seeds
 
 
 class TestJournal:

@@ -13,7 +13,9 @@ each test's injector seed is chosen to make specific chunks fault on
 specific attempts — the assertions are exact, not probabilistic.
 """
 
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -24,8 +26,8 @@ from repro.algorithms.ris import RIS
 from repro.diffusion.models import WC
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.framework.isolation import IsolationConfig, execute_cell
-from repro.framework.metrics import STATUS_FAILED
-from repro.framework.pool import ChunkFaultInjector
+from repro.framework.metrics import STATUS_DNF, STATUS_FAILED
+from repro.framework.pool import Fault
 from repro.framework.shm import SEGMENT_PREFIX
 from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
@@ -58,7 +60,7 @@ class TestByteIdenticalUnderFaults:
         baseline = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
         tele = Telemetry()
         # seed 84 @ rate .15: chunk 2 of 3 is killed on attempt 0 only.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
+        with activate(tele), Fault(mode="kill", rate=0.15, seed=84):
             faulted = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
         assert faulted == baseline
         # Whether sibling chunks deliver before the broken pool is detected
@@ -72,7 +74,7 @@ class TestByteIdenticalUnderFaults:
         tele = Telemetry()
         # seed 0 @ rate .3: chunks 1 and 2 return corrupted payloads on
         # attempt 0; the checksum mismatch forces a retry.
-        with activate(tele), ChunkFaultInjector(mode="corrupt", rate=0.3, seed=0):
+        with activate(tele), Fault(mode="corrupt", rate=0.3, seed=0):
             faulted = select_seeds(algo(), graph, 5)
         assert faulted == baseline
         assert tele.counters["pool.corrupt_results"] >= 2
@@ -84,12 +86,12 @@ class TestByteIdenticalUnderFaults:
         tele = Telemetry()
         # seed 28 @ rate .2: chunk 0 of every 2-chunk sigma evaluation is
         # killed on attempt 0 — each oracle call collapses once and replays.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.2, seed=28):
+        with activate(tele), Fault(mode="kill", rate=0.2, seed=28):
             faulted = select_seeds(algo(), small_graph, 3)
         assert faulted == baseline
         assert tele.counters["pool.worker_restarts"] >= 1
 
-    def test_mc_spread_samples_identical_under_hangs(self, small_graph):
+    def test_mc_spread_samples_identical_under_hangs(self, small_graph, monkeypatch):
         def run():
             return monte_carlo_spread(
                 small_graph, [0, 3], WC, r=40,
@@ -100,8 +102,9 @@ class TestByteIdenticalUnderFaults:
         tele = Telemetry()
         # seed 53 @ rate .3: chunk 1 of 2 hangs on attempt 0; the stall
         # timeout reclaims the worker and the chunk replays.
-        with activate(tele), ChunkFaultInjector(
-            mode="hang", rate=0.3, seed=53, hang_seconds=30.0, stall_timeout=0.75
+        monkeypatch.setenv("REPRO_POOL_STALL_TIMEOUT", "0.75")
+        with activate(tele), Fault(
+            mode="hang", rate=0.3, seed=53, hang_seconds=30.0
         ):
             faulted = run()
         np.testing.assert_array_equal(faulted, baseline)
@@ -115,7 +118,7 @@ class TestByteIdenticalUnderFaults:
             select_seeds(CELF(mc_simulations=8, mc_workers=2), small_graph, 3),
         ]
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.1, seed=84):
+        with activate(tele), Fault(mode="kill", rate=0.1, seed=84):
             faulted = [
                 select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5),
                 select_seeds(IMM(epsilon=0.5, rr_scale=0.02, rr_workers=3), graph, 5),
@@ -132,7 +135,7 @@ class TestDegradationLadder:
         baseline = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "0")
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        with activate(tele), Fault(mode="kill", rate=1.0, seed=0):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1
@@ -157,10 +160,37 @@ class TestDegradationLadder:
         counters = record.extras["telemetry"]["counters"]
         assert counters.get("pool.nested_serial", 0) >= 1
 
+    def test_hung_workers_yield_to_cooperative_time_limit(self, graph):
+        """An in-process cell's time limit preempts hung pool workers: the
+        pool runs the budget check while it waits, not only when a chunk
+        commits, and tears the hung workers down."""
+        before = {p.pid for p in multiprocessing.active_children()}
+        started = time.perf_counter()
+        with Fault("hang", rate=1.0, hang_seconds=12.0):
+            record, result = execute_cell(
+                RIS(num_rr_sets=600, rr_workers=2),
+                graph,
+                4,
+                WC,
+                rng=np.random.default_rng(11),
+                config=IsolationConfig(enabled=False, time_limit_seconds=1.0),
+            )
+        elapsed = time.perf_counter() - started
+        assert record.status == STATUS_DNF
+        assert result is None
+        assert elapsed < 5.0
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            leftover = {p.pid for p in multiprocessing.active_children()} - before
+            if not leftover:
+                break
+            time.sleep(0.05)
+        assert not leftover, f"orphan worker processes survived: {leftover}"
+
     def test_quarantine_surfaces_as_failed_cell(self, graph, monkeypatch):
         """An unrecoverable chunk fails the *cell*, never the sweep."""
         monkeypatch.setenv("REPRO_BENCH_POOL_RETRIES", "1")
-        with ChunkFaultInjector(mode="raise", rate=1.0, seed=0):
+        with Fault(mode="raise", rate=1.0, seed=0):
             record, result = execute_cell(
                 RIS(num_rr_sets=400, rr_workers=2),
                 graph,
@@ -206,7 +236,7 @@ class TestArenaChaosSuite:
         tele = Telemetry()
         # seed 84 @ rate .15: one chunk killed on attempt 0 (as in the
         # transport-free twin above), forcing an executor respawn.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
+        with activate(tele), Fault(mode="kill", rate=0.15, seed=84):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), big, 5)
         assert faulted == baseline
         assert tele.counters["pool.transport_shm"] >= 1
@@ -224,7 +254,7 @@ class TestArenaChaosSuite:
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         tele = Telemetry()
         # seed 0 @ rate .3: two chunks return corrupted payloads and retry.
-        with activate(tele), ChunkFaultInjector(mode="corrupt", rate=0.3, seed=0):
+        with activate(tele), Fault(mode="corrupt", rate=0.3, seed=0):
             faulted = select_seeds(algo(), graph, 5)
         assert faulted == baseline
         assert tele.counters["pool.transport_shm"] >= 1
@@ -237,7 +267,7 @@ class TestArenaChaosSuite:
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         tele = Telemetry()
         # seed 28 @ rate .2: chunk 0 of every sigma evaluation is killed.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.2, seed=28):
+        with activate(tele), Fault(mode="kill", rate=0.2, seed=28):
             faulted = select_seeds(algo(), small_graph, 3)
         assert faulted == baseline
         assert tele.counters["pool.transport_shm"] >= 1
@@ -249,7 +279,7 @@ class TestArenaChaosSuite:
         baseline = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
         monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
+        with activate(tele), Fault(mode="kill", rate=0.15, seed=84):
             faulted = select_seeds(RIS(num_rr_sets=900, rr_workers=3), graph, 5)
         assert faulted == baseline
         assert tele.counters["pool.transport_pickle"] >= 1
@@ -263,7 +293,7 @@ class TestArenaChaosSuite:
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         monkeypatch.setenv("REPRO_POOL_MAX_RESTARTS", "0")
         tele = Telemetry()
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        with activate(tele), Fault(mode="kill", rate=1.0, seed=0):
             faulted = select_seeds(RIS(num_rr_sets=600, rr_workers=3), graph, 4)
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1

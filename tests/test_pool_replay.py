@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, _sample_rr_chunk
 from repro.diffusion.simulation import _simulate_chunk, monte_carlo_spread
-from repro.framework.pool import ChunkFaultInjector
+from repro.framework.pool import Fault
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 
@@ -77,7 +77,7 @@ class TestFaultedRunsEqualFaultFree:
             return pool
 
         baseline = sample()
-        with ChunkFaultInjector(mode="kill", rate=0.3, seed=fault_seed):
+        with Fault(mode="kill", rate=0.3, seed=fault_seed):
             faulted = sample()
         np.testing.assert_array_equal(faulted.set_ptr, baseline.set_ptr)
         np.testing.assert_array_equal(faulted.set_nodes, baseline.set_nodes)
@@ -93,7 +93,7 @@ class TestFaultedRunsEqualFaultFree:
             )[1]
 
         baseline = run()
-        with ChunkFaultInjector(mode="kill", rate=0.3, seed=fault_seed):
+        with Fault(mode="kill", rate=0.3, seed=fault_seed):
             faulted = run()
         np.testing.assert_array_equal(faulted, baseline)
         assert float(faulted.sum()) == float(baseline.sum())

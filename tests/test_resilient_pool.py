@@ -15,6 +15,8 @@ deterministic, not flaky.
 import multiprocessing
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -23,14 +25,12 @@ from repro.algorithms.base import IMAlgorithm
 from repro.diffusion.models import Dynamics, WC
 from repro.framework.metrics import STATUS_FAILED, run_with_budget
 from repro.framework.pool import (
-    ChunkFaultInjector,
     ChunkQuarantined,
-    FaultSpec,
+    Fault,
     PoolConfig,
     PoolError,
     ResilientPool,
-    active_fault_spec,
-    fault_fires,
+    armed_fault,
     run_chunks,
 )
 from repro.framework.telemetry import Telemetry, activate
@@ -115,7 +115,7 @@ class TestRunChunks:
 class TestRetryAndQuarantine:
     def test_transient_failure_retried_then_succeeds(self, tmp_path):
         tele = Telemetry()
-        cfg = PoolConfig(retries=4, backoff_seconds=0.0)
+        cfg = PoolConfig(retries=4)
         with activate(tele):
             out = run_chunks(
                 _fail_first_attempts,
@@ -128,7 +128,7 @@ class TestRetryAndQuarantine:
         assert "pool.worker_restarts" not in tele.counters
 
     def test_poison_chunk_quarantined_with_details(self):
-        cfg = PoolConfig(retries=2, backoff_seconds=0.0)
+        cfg = PoolConfig(retries=2)
         pool = ResilientPool(cfg, label="unit")
         with pytest.raises(ChunkQuarantined) as err:
             pool.run(_always_raise, [(0,), (1,)], workers=2)
@@ -163,7 +163,7 @@ class TestFaultRecovery:
         # seed 79 @ rate .25: only chunk 5 is killed, on attempt 0.  With 2
         # workers the first five chunks complete and commit before chunk 5
         # runs, so exactly 5 results are salvaged across the restart.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.25, seed=79):
+        with activate(tele), Fault(mode="kill", rate=0.25, seed=79):
             out = run_chunks(_square, [(i,) for i in range(6)], workers=2)
         assert out == self.BASELINE
         assert tele.counters["pool.worker_restarts"] == 1
@@ -173,7 +173,7 @@ class TestFaultRecovery:
     def test_corrupt_results_detected_and_retried(self):
         tele = Telemetry()
         # seed 0 @ rate .3: chunks 1, 2, 5 corrupt on attempt 0.
-        with activate(tele), ChunkFaultInjector(mode="corrupt", rate=0.3, seed=0):
+        with activate(tele), Fault(mode="corrupt", rate=0.3, seed=0):
             out = run_chunks(_square, [(i,) for i in range(6)], workers=3)
         assert out == self.BASELINE
         assert tele.counters["pool.corrupt_results"] >= 3
@@ -182,25 +182,46 @@ class TestFaultRecovery:
     def test_hang_reclaimed_by_stall_timeout(self):
         tele = Telemetry()
         # seed 22 @ rate .2: only chunk 3 hangs, on attempt 0.
-        with activate(tele), ChunkFaultInjector(
-            mode="hang", rate=0.2, seed=22, hang_seconds=30.0, stall_timeout=0.75
+        with activate(tele), Fault(
+            mode="hang", rate=0.2, seed=22, hang_seconds=30.0
         ):
-            out = run_chunks(_square, [(i,) for i in range(4)], workers=4)
+            out = run_chunks(_square, [(i,) for i in range(4)], workers=4,
+                             config=PoolConfig(stall_timeout_seconds=0.75))
         assert out == [0, 1, 4, 9]
         assert tele.counters["pool.worker_restarts"] >= 1
 
     def test_serial_downgrade_is_correct_and_counted(self):
         tele = Telemetry()
-        cfg = PoolConfig(max_restarts=0, backoff_seconds=0.0)
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        cfg = PoolConfig(max_restarts=0)
+        with activate(tele), Fault(mode="kill", rate=1.0, seed=0):
             out = run_chunks(_square, [(i,) for i in range(6)], workers=3,
                              config=cfg)
         assert out == self.BASELINE
         assert tele.counters["pool.serial_downgrades"] == 1
 
+    def test_worker_death_during_submit_is_a_collapse(self, monkeypatch):
+        """A worker that dies before the fan-out is fully submitted makes
+        ``submit`` raise; that is a collapse like any other, and the
+        unsubmitted chunks replay after the respawn."""
+        spawn = ResilientPool._spawn_executor
+        generations = []
+
+        def first_breaks(self, max_workers, shared, payload):
+            generations.append(max_workers)
+            if len(generations) == 1:
+                return _BreaksOnSecondSubmit()
+            return spawn(self, max_workers, shared, payload)
+
+        monkeypatch.setattr(ResilientPool, "_spawn_executor", first_breaks)
+        tele = Telemetry()
+        with activate(tele):
+            out = run_chunks(_square, [(i,) for i in range(6)], workers=2)
+        assert out == self.BASELINE
+        assert tele.counters["pool.worker_restarts"] == 1
+
     def test_downgraded_serial_failure_still_quarantines(self):
-        cfg = PoolConfig(max_restarts=0, retries=1, backoff_seconds=0.0)
-        with ChunkFaultInjector(mode="kill", rate=1.0, seed=0):
+        cfg = PoolConfig(max_restarts=0, retries=1)
+        with Fault(mode="kill", rate=1.0, seed=0):
             with pytest.raises(ChunkQuarantined):
                 run_chunks(_always_raise, [(0,), (1,)], workers=2, config=cfg)
 
@@ -220,25 +241,35 @@ class TestConfiguration:
 
     def test_injector_arms_and_restores_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_RATE", raising=False)
-        assert active_fault_spec() is None
-        with ChunkFaultInjector(mode="raise", rate=0.5, seed=3):
-            spec = active_fault_spec()
+        assert armed_fault() is None
+        with Fault(mode="raise", rate=0.5, seed=3):
+            spec = armed_fault()
             assert spec is not None
             assert (spec.mode, spec.rate, spec.seed) == ("raise", 0.5, 3)
-        assert active_fault_spec() is None
+        assert armed_fault() is None
+        # A mistyped chaos variable is an error naming it, never a
+        # silently disarmed run.
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
+        monkeypatch.setenv("REPRO_FAULT_MODE", "kil")
+        with pytest.raises(ValueError, match="REPRO_FAULT_MODE"):
+            armed_fault()
+        monkeypatch.setenv("REPRO_FAULT_MODE", "kill")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "abc")
+        with pytest.raises(ValueError, match="REPRO_FAULT_RATE"):
+            armed_fault()
 
     def test_injector_rejects_bad_modes(self):
         with pytest.raises(ValueError):
-            ChunkFaultInjector(mode="meltdown")
+            Fault(mode="meltdown")
         with pytest.raises(ValueError):
-            ChunkFaultInjector(rate=1.5)
+            Fault(mode="kill", rate=1.5)
 
     def test_fault_draw_is_deterministic(self):
-        spec = FaultSpec(mode="kill", rate=0.25, seed=0)
-        draws = [fault_fires(spec, i, a) for i in range(6) for a in range(3)]
-        assert draws == [fault_fires(spec, i, a) for i in range(6) for a in range(3)]
-        none = FaultSpec(mode="kill", rate=0.0, seed=0)
-        assert not any(fault_fires(none, i, 0) for i in range(64))
+        spec = Fault(mode="kill", rate=0.25, seed=0)
+        draws = [spec.fires(i, a) for i in range(6) for a in range(3)]
+        assert draws == [spec.fires(i, a) for i in range(6) for a in range(3)]
+        none = Fault(mode="kill", rate=0.0, seed=0)
+        assert not any(none.fires(i, 0) for i in range(64))
 
 
 # -- satellite regression: no orphan workers on interrupt ---------------
@@ -276,7 +307,25 @@ class TestNoOrphans:
         assert not leftover, f"orphan worker processes survived: {leftover}"
 
 
-# -- helpers for the taxonomy test --------------------------------------
+# -- helpers ------------------------------------------------------------
+
+
+class _BreaksOnSecondSubmit:
+    """Executor stand-in whose worker dies while chunks are submitted."""
+
+    def __init__(self):
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == 2:
+            raise BrokenProcessPool("worker died during submit")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
 
 class _QuarantineAlgo(IMAlgorithm):
@@ -290,6 +339,6 @@ class _QuarantineAlgo(IMAlgorithm):
             _always_raise,
             [(0,), (1,)],
             workers=2,
-            config=PoolConfig(retries=1, backoff_seconds=0.0),
+            config=PoolConfig(retries=1),
         )
         return list(range(k)), {}

@@ -28,7 +28,7 @@ from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool
 from repro.framework import shm
 from repro.framework.pool import (
-    ChunkFaultInjector,
+    Fault,
     PoolConfig,
     ResilientPool,
     run_chunks,
@@ -395,7 +395,7 @@ class TestArenaLifecycle:
         big = np.arange(1 << 14, dtype=np.float64)
         tele = Telemetry()
         # seed 84 @ rate .15: one chunk killed on attempt 0, then replayed.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=0.15, seed=84):
+        with activate(tele), Fault(mode="kill", rate=0.15, seed=84):
             out = run_chunks(
                 _shared_sum, [(i,) for i in range(3)], workers=3, shared=(big,)
             )
@@ -410,12 +410,12 @@ class TestArenaLifecycle:
         big = np.arange(1 << 14, dtype=np.float64)
         tele = Telemetry()
         pool = ResilientPool(
-            config=PoolConfig(max_restarts=0, backoff_seconds=0.01),
+            config=PoolConfig(max_restarts=0),
             label="downgrade",
         )
         # rate 1.0 kills every parallel attempt; the downgrade path runs
         # the chunks in-process on the original objects.
-        with activate(tele), ChunkFaultInjector(mode="kill", rate=1.0, seed=1):
+        with activate(tele), Fault(mode="kill", rate=1.0, seed=1):
             out = pool.run(
                 _shared_sum, [(i,) for i in range(3)], workers=3, shared=(big,)
             )
