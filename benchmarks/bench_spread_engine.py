@@ -47,8 +47,8 @@ FULL_SCALE = (100, 500)  # (SIMS, N_NODES) at which the floor is asserted
 BACKENDS = [
     ("serial", {"spread_oracle": "serial"}),
     ("batched", {"spread_oracle": "batched", "mc_batch": MC_BATCH}),
-    ("snapshot", {"spread_oracle": "snapshot", "num_worlds": SIMS}),
-    ("sketch", {"spread_oracle": "sketch", "num_worlds": SIMS}),
+    ("snapshot", {"spread_oracle": "snapshot"}),
+    ("sketch", {"spread_oracle": "sketch"}),
 ]
 
 

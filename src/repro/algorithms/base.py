@@ -190,8 +190,6 @@ class SpreadOracleMixin:
         spread_oracle,
         mc_batch: int | None,
         mc_workers: int | None,
-        num_worlds: int | None,
-        sketch_k: int = 8,
     ) -> None:
         if mc_simulations < 1:
             raise ValueError("mc_simulations must be positive")
@@ -199,14 +197,10 @@ class SpreadOracleMixin:
             raise ValueError("mc_batch must be positive")
         if mc_workers is not None and mc_workers < 1:
             raise ValueError("mc_workers must be positive")
-        if num_worlds is not None and num_worlds < 1:
-            raise ValueError("num_worlds must be positive")
         self.mc_simulations = mc_simulations
         self.spread_oracle = spread_oracle
         self.mc_batch = mc_batch
         self.mc_workers = mc_workers
-        self.num_worlds = num_worlds
-        self.sketch_k = sketch_k
 
     def _build_oracle(self, graph, model, rng, budget):
         """Resolve the configured backend plus a gain memo for this run."""
@@ -220,8 +214,6 @@ class SpreadOracleMixin:
             mc_simulations=self.mc_simulations,
             mc_batch=self.mc_batch,
             mc_workers=self.mc_workers,
-            num_worlds=self.num_worlds,
-            sketch_k=self.sketch_k,
             budget=budget,
         )
         return oracle, GainCache()

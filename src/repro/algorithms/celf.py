@@ -23,13 +23,17 @@ counts true evaluations.  ``spread_oracle=None`` preserves the historical
 per-cascade draw order byte for byte.  The ``sketch`` backend lets CELF
 seed its queue from reach upper bounds instead of an n-node evaluation
 scan (the first pop of each bound entry triggers the real evaluation).
+
+:func:`lazy_forward` is the one lazy-forward queue of the package: CELF,
+CELF++, StaticGreedy (CELF over the snapshot oracle), PMC and SIMPATH
+differ only in the gain they evaluate and what picking a seed commits.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +42,7 @@ from ..diffusion.simulation import DEFAULT_MC_SIMULATIONS
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm, SpreadOracleMixin
 
-__all__ = ["CELF", "CELFpp"]
-
-#: Queue-round sentinel for entries holding a sketch bound, not a gain.
-_BOUND_ROUND = -1
+__all__ = ["CELF", "CELFpp", "lazy_forward"]
 
 
 def _tele():
@@ -50,6 +51,47 @@ def _tele():
     from ..framework.telemetry import current
 
     return current()
+
+
+def lazy_forward(
+    gains: Sequence[float],
+    k: int,
+    evaluate: Callable[[int], float],
+    commit: Callable[[int, float], None],
+    *,
+    first_round: int = 0,
+    lookahead: int = 1,
+) -> list[int]:
+    """Lazy-forward greedy over initial per-node ``gains``; returns the seeds.
+
+    The heap holds ``(-gain, counter, node, round)``, one entry per node: a
+    pop either picks the node or pushes its re-scored entry.  An entry
+    computed in the current round (``round == len(seeds)``) is picked and
+    ``commit(node, gain)`` runs; any other is re-scored by ``evaluate``
+    together with the next ``lookahead - 1`` entries, and the results are
+    pushed back with the current round.  ``first_round=-1`` marks the
+    initial values as upper bounds, so each is evaluated before it can be
+    picked.
+
+    The counter makes every key unique, so the pop sequence — and thus
+    every tie-break — is the same as pushing the entries one by one.
+    """
+    counter = itertools.count()
+    heap = [(-g, next(counter), v, first_round) for v, g in enumerate(gains)]
+    heapq.heapify(heap)
+    seeds: list[int] = []
+    while heap and len(seeds) < k:
+        neg_gain, __, v, round_tag = heapq.heappop(heap)
+        if round_tag == len(seeds):
+            seeds.append(v)
+            commit(v, -neg_gain)
+            continue
+        batch = [v]
+        while heap and len(batch) < lookahead:
+            batch.append(heapq.heappop(heap)[2])
+        for u in batch:
+            heapq.heappush(heap, (-evaluate(u), next(counter), u, len(seeds)))
+    return seeds
 
 
 class CELF(SpreadOracleMixin, IMAlgorithm):
@@ -65,12 +107,8 @@ class CELF(SpreadOracleMixin, IMAlgorithm):
         spread_oracle: str | None = None,
         mc_batch: int | None = None,
         mc_workers: int | None = None,
-        num_worlds: int | None = None,
-        sketch_k: int = 8,
     ) -> None:
-        self._init_oracle(
-            mc_simulations, spread_oracle, mc_batch, mc_workers, num_worlds, sketch_k
-        )
+        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
 
     def _select(
         self,
@@ -82,51 +120,32 @@ class CELF(SpreadOracleMixin, IMAlgorithm):
     ) -> tuple[list[int], dict[str, Any]]:
         oracle, cache = self._build_oracle(graph, model, rng, budget)
         tele = _tele()
-        counter = itertools.count()
-        heap: list[tuple[float, int, int, int]] = []  # (-gain, tiebreak, node, round)
-        cached = np.zeros(graph.n, dtype=np.float64)
         lookups = [0]
+
+        def evaluate(v: int) -> float:
+            self._tick(budget)
+            before = cache.misses
+            gain = cache.gain(oracle, v)
+            lookups[-1] += cache.misses - before
+            return gain
+
+        def commit(v: int, gain: float) -> None:
+            oracle.commit(v, gain)
+            if len(lookups) < k:
+                lookups.append(0)
+
         with tele.span("celf.build_queue"):
             if oracle.provides_bounds:
-                # Sketch backend: enqueue cheap upper bounds; a bound entry is
-                # never picked directly — its first pop evaluates for real.
-                for v in range(graph.n):
-                    bound = oracle.gain_bound(v)
-                    cached[v] = bound
-                    heapq.heappush(heap, (-bound, next(counter), v, _BOUND_ROUND))
+                # Sketch backend: cheap upper bounds; each bound's first pop
+                # evaluates for real.
+                gains = [oracle.gain_bound(v) for v in range(graph.n)]
             else:
-                for v in range(graph.n):
-                    self._tick(budget)
-                    before = cache.misses
-                    gain = cache.gain(oracle, v)
-                    cached[v] = gain
-                    lookups[0] += cache.misses - before
-                    heapq.heappush(heap, (-gain, next(counter), v, 0))
-
-        seeds: list[int] = []
-        in_seed = np.zeros(graph.n, dtype=bool)
-        stale_pops = 0
+                gains = [evaluate(v) for v in range(graph.n)]
         with tele.span("celf.lazy_forward"):
-            while heap and len(seeds) < k:
-                neg_gain, __, v, round_tag = heapq.heappop(heap)
-                if in_seed[v] or -neg_gain != cached[v]:
-                    stale_pops += 1
-                    continue  # stale duplicate entry
-                if round_tag == len(seeds):
-                    # Gain is fresh for the current seed set: pick it.
-                    seeds.append(v)
-                    in_seed[v] = True
-                    oracle.commit(v, -neg_gain)
-                    if len(lookups) <= len(seeds) and len(seeds) < k:
-                        lookups.append(0)
-                    continue
-                self._tick(budget)
-                before = cache.misses
-                gain = cache.gain(oracle, v)
-                cached[v] = gain
-                lookups[-1] += cache.misses - before
-                heapq.heappush(heap, (-gain, next(counter), v, len(seeds)))
-        tele.count("celf.stale_pops", stale_pops)
+            seeds = lazy_forward(
+                gains, k, evaluate, commit,
+                first_round=-1 if oracle.provides_bounds else 0,
+            )
         return seeds, {
             "node_lookups_per_iteration": lookups[: max(len(seeds), 1)],
             "estimated_spread": oracle.committed_sigma,
@@ -147,12 +166,8 @@ class CELFpp(SpreadOracleMixin, IMAlgorithm):
         spread_oracle: str | None = None,
         mc_batch: int | None = None,
         mc_workers: int | None = None,
-        num_worlds: int | None = None,
-        sketch_k: int = 8,
     ) -> None:
-        self._init_oracle(
-            mc_simulations, spread_oracle, mc_batch, mc_workers, num_worlds, sketch_k
-        )
+        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
 
     def _select(
         self,
@@ -164,27 +179,31 @@ class CELFpp(SpreadOracleMixin, IMAlgorithm):
     ) -> tuple[list[int], dict[str, Any]]:
         oracle, cache = self._build_oracle(graph, model, rng, budget)
         tele = _tele()
-        counter = itertools.count()
-        # Entry state per node: mg1 (gain wrt S), prev_best (the best node
-        # seen when mg1 was computed), mg2 (gain wrt S + prev_best), flag
-        # (|S| at computation time).
-        mg1 = np.zeros(graph.n, dtype=np.float64)
+        # Per-node state of the node's queue entry: prev_best (the best
+        # node seen when its gain was computed), mg2 (its gain wrt
+        # S + prev_best) and flag (|S| at computation time).
         mg2 = np.zeros(graph.n, dtype=np.float64)
         prev_best = np.full(graph.n, -1, dtype=np.int64)
         flag = np.zeros(graph.n, dtype=np.int64)
-
-        heap: list[tuple[float, int, int]] = []
         lookups = [0]
-        cur_best = -1
-        cur_best_gain = -np.inf
-        with tele.span("celfpp.build_queue"):
-            for v in range(graph.n):
+        rounds, last_seed = 0, -1
+        cur_best, cur_best_gain = -1, -np.inf
+
+        def evaluate(v: int) -> float:
+            nonlocal cur_best, cur_best_gain
+            if prev_best[v] == last_seed and flag[v] == rounds - 1:
+                # The saving: mg2 was computed against exactly this seed set.
+                # With a deterministic backend the look-ahead landed in the
+                # memo under this very (seed set, node) key, so the same
+                # answer comes back as a hit — still zero true evaluations.
+                gain = cache.gain(oracle, v) if oracle.deterministic else mg2[v]
+            else:
                 self._tick(budget)
                 before = cache.misses
-                mg1[v] = cache.gain(oracle, v)
-                lookups[0] += cache.misses - before
+                gain = cache.gain(oracle, v)
+                lookups[-1] += cache.misses - before
                 prev_best[v] = cur_best
-                if cur_best >= 0:
+                if cur_best >= 0 and cur_best != v:
                     # Look-ahead: gain of v given the current front-runner is
                     # also computed now — the extra work CELF++ banks on.  Via
                     # the memo it becomes the hit serving v's next re-lookup.
@@ -192,55 +211,24 @@ class CELFpp(SpreadOracleMixin, IMAlgorithm):
                         oracle, v, extra=[cur_best], extra_gain=cur_best_gain
                     )
                 else:
-                    mg2[v] = mg1[v]
-                if mg1[v] > cur_best_gain:
-                    cur_best_gain, cur_best = mg1[v], v
-                heapq.heappush(heap, (-mg1[v], next(counter), v))
+                    mg2[v] = gain
+            flag[v] = rounds
+            if gain > cur_best_gain:
+                cur_best_gain, cur_best = gain, v
+            return gain
 
-        seeds: list[int] = []
-        last_seed = -1
-        cur_best = -1
-        cur_best_gain = -np.inf
-        in_seed = np.zeros(graph.n, dtype=bool)
-        stale_pops = 0
+        def commit(v: int, gain: float) -> None:
+            nonlocal rounds, last_seed, cur_best, cur_best_gain
+            oracle.commit(v, gain)
+            rounds, last_seed = rounds + 1, v
+            cur_best, cur_best_gain = -1, -np.inf
+            if len(lookups) < k:
+                lookups.append(0)
+
+        with tele.span("celfpp.build_queue"):
+            gains = [evaluate(v) for v in range(graph.n)]
         with tele.span("celfpp.lazy_forward"):
-            while heap and len(seeds) < k:
-                neg_gain, __, v = heapq.heappop(heap)
-                if in_seed[v] or -neg_gain != mg1[v]:
-                    stale_pops += 1
-                    continue  # stale duplicate entry
-                if flag[v] == len(seeds):
-                    seeds.append(v)
-                    in_seed[v] = True
-                    oracle.commit(v, mg1[v])
-                    last_seed = v
-                    cur_best, cur_best_gain = -1, -np.inf
-                    if len(lookups) <= len(seeds) and len(seeds) < k:
-                        lookups.append(0)
-                    continue
-                if prev_best[v] == last_seed and flag[v] == len(seeds) - 1:
-                    # The saving: mg2 was computed against exactly this seed set.
-                    # With a deterministic backend the look-ahead landed in the
-                    # memo under this very (seed set, node) key, so the same
-                    # answer comes back as a hit — still zero true evaluations.
-                    mg1[v] = cache.gain(oracle, v) if oracle.deterministic else mg2[v]
-                else:
-                    self._tick(budget)
-                    before = cache.misses
-                    mg1[v] = cache.gain(oracle, v)
-                    lookups[-1] += cache.misses - before
-                    prev_best[v] = cur_best
-                    if cur_best >= 0 and cur_best != v:
-                        mg2[v] = cache.gain(
-                            oracle, v, extra=[cur_best], extra_gain=cur_best_gain
-                        )
-                    else:
-                        mg2[v] = mg1[v]
-                flag[v] = len(seeds)
-                if mg1[v] > cur_best_gain:
-                    cur_best_gain, cur_best = mg1[v], v
-                heapq.heappush(heap, (-mg1[v], next(counter), v))
-        tele.count("celfpp.stale_pops", stale_pops)
+            seeds = lazy_forward(gains, k, evaluate, commit)
         return seeds, {
             "node_lookups_per_iteration": lookups[: max(len(seeds), 1)],
             "estimated_spread": oracle.committed_sigma,

@@ -47,12 +47,8 @@ class Greedy(SpreadOracleMixin, IMAlgorithm):
         spread_oracle: str | None = None,
         mc_batch: int | None = None,
         mc_workers: int | None = None,
-        num_worlds: int | None = None,
-        sketch_k: int = 8,
     ) -> None:
-        self._init_oracle(
-            mc_simulations, spread_oracle, mc_batch, mc_workers, num_worlds, sketch_k
-        )
+        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
 
     def _select(
         self,

@@ -13,15 +13,16 @@ give PMC its scalability edge:
 2. **Dead-component marking.**  Once a component is covered by the chosen
    seeds, marginal BFS never expands it again (its downstream is covered
    too), so later iterations get progressively cheaper.
+
+Selection runs on the shared lazy-forward queue
+(:func:`repro.algorithms.celf.lazy_forward`), the one StaticGreedy runs on
+through CELF, so the two techniques differ only in their gain kernel.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Any
-
-import heapq
-import itertools
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from ..diffusion.snapshots import (
 )
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
+from .celf import lazy_forward
 
 __all__ = ["PMC", "contract_snapshot"]
 
@@ -107,16 +109,19 @@ class PMC(IMAlgorithm):
         rng: np.random.Generator,
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
-        # Shared world sampler (same RNG stream as the historical per-world
-        # loop, so seeded runs are unchanged).
         masks = sample_live_masks(graph, Dynamics.IC, self.num_snapshots, rng, budget)
-        worlds = [contract_snapshot(graph, masks[i]) for i in range(self.num_snapshots)]
+        worlds = []
+        for live in masks:
+            self._tick(budget)
+            worlds.append(contract_snapshot(graph, live))
         dead = [np.zeros(sizes.shape[0], dtype=bool) for __, sizes, __a in worlds]
         # Nodes in the same component of a world have identical reach there;
         # memoize per (world, component) and invalidate when seeds change.
         memo: list[dict[int, int]] = [{} for __ in worlds]
+        estimated = 0.0
 
-        def gain(v: int) -> float:
+        def evaluate(v: int) -> float:
+            self._tick(budget)
             total = 0
             for (comp, sizes, dag_adj), dd, mm in zip(worlds, dead, memo):
                 c0 = int(comp[v])
@@ -130,36 +135,16 @@ class PMC(IMAlgorithm):
                 total += cached_reach
             return total / len(worlds)
 
-        counter = itertools.count()
-        cached = np.zeros(graph.n, dtype=np.float64)
-        heap: list[tuple[float, int, int, int]] = []
-        for v in range(graph.n):
-            if v % 64 == 0:
-                self._tick(budget)
-            g = gain(v)
-            cached[v] = g
-            heapq.heappush(heap, (-g, next(counter), v, 0))
+        def commit(v: int, gain: float) -> None:
+            nonlocal estimated
+            estimated += gain
+            for (comp, __s, dag_adj), dd, mm in zip(worlds, dead, memo):
+                for c in _marginal_comp_reach(dag_adj, dd, int(comp[v])):
+                    dd[c] = True
+                mm.clear()
 
-        seeds: list[int] = []
-        in_seed = np.zeros(graph.n, dtype=bool)
-        estimated = 0.0
-        while heap and len(seeds) < k:
-            neg_gain, __, v, round_tag = heapq.heappop(heap)
-            if in_seed[v] or -neg_gain != cached[v]:
-                continue
-            if round_tag == len(seeds):
-                seeds.append(v)
-                in_seed[v] = True
-                estimated += -neg_gain
-                for (comp, __s, dag_adj), dd, mm in zip(worlds, dead, memo):
-                    for c in _marginal_comp_reach(dag_adj, dd, int(comp[v])):
-                        dd[c] = True
-                    mm.clear()
-                continue
-            self._tick(budget)
-            g = gain(v)
-            cached[v] = g
-            heapq.heappush(heap, (-g, next(counter), v, len(seeds)))
+        gains = [evaluate(v) for v in range(graph.n)]
+        seeds = lazy_forward(gains, k, evaluate, commit)
         return seeds, {
             "num_snapshots": self.num_snapshots,
             "estimated_spread": estimated,

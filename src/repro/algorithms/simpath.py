@@ -10,7 +10,9 @@ weight falls below η (default 1e-3).  The enumeration keeps its prefix
 bookkeeping in flat parallel stacks (node / cursor / slice end / prefix
 weight indexed by depth) rather than per-frame objects.
 
-Seed selection is CELF-style with two of the original's optimizations:
+Seed selection runs on CELF's lazy-forward queue
+(:func:`repro.algorithms.celf.lazy_forward`) with two of the original's
+optimizations:
 
 * shared through-counts: while computing σ(S) once per iteration, the
   weight of the paths passing through every node x is accumulated, so
@@ -43,15 +45,13 @@ from __future__ import annotations
 
 from typing import Any
 
-import heapq
-import itertools
-
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
 from ..diffusion.paths import _worker_chunks
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
+from .celf import lazy_forward
 
 __all__ = ["SIMPATH", "simpath_spread", "vertex_cover"]
 
@@ -274,53 +274,35 @@ class SIMPATH(IMAlgorithm):
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
         n = graph.n
-        counter = itertools.count()
-        sigma0 = self._initial_sigmas(graph, budget)
-        cached = sigma0.copy()
-        heap: list[tuple[float, int, int, int]] = []
-        for v in range(n):
-            heapq.heappush(heap, (-float(sigma0[v]), next(counter), v, 0))
-
-        seeds: list[int] = []
-        in_seed = np.zeros(n, dtype=bool)
+        allowed = np.ones(n, dtype=bool)  # V − S
+        chosen: list[int] = []
         sigma_s = 0.0
         through = np.zeros(n, dtype=np.float64)
-        while heap and len(seeds) < k:
-            neg_gain, __, v, round_tag = heapq.heappop(heap)
-            if in_seed[v] or -neg_gain != cached[v]:
-                continue
-            if round_tag == len(seeds):
-                seeds.append(v)
-                in_seed[v] = True
-                sigma_s += -neg_gain
-                if len(seeds) < k:
-                    # One σ(S) pass with through-counts for the next round.
-                    allowed = ~in_seed
-                    through[:] = 0.0
-                    sigma_s = 0.0
-                    for u in seeds:
-                        self._tick(budget)
-                        sigma_s += simpath_spread(
-                            graph, u, allowed, self.eta, through=through, budget=budget
-                        )
-                continue
-            # Re-evaluate this candidate (plus up to lookahead-1 more).
-            batch = [(v, -neg_gain)]
-            while heap and len(batch) < self.lookahead:
-                ng2, __c, v2, __r = heap[0]
-                if in_seed[v2] or -ng2 != cached[v2]:
-                    heapq.heappop(heap)
-                    continue
-                heapq.heappop(heap)
-                batch.append((v2, -ng2))
-            allowed = ~in_seed
-            for x, __old in batch:
-                self._tick(budget)
-                sigma_x = simpath_spread(graph, x, allowed, self.eta, budget=budget)
-                # σ(S + x) = σ^{V−x}(S) + σ^{V−S}(x)
-                gain = (sigma_s - through[x] + sigma_x) - sigma_s
-                cached[x] = gain
-                heapq.heappush(heap, (-gain, next(counter), x, len(seeds)))
+
+        def evaluate(x: int) -> float:
+            self._tick(budget)
+            sigma_x = simpath_spread(graph, x, allowed, self.eta, budget=budget)
+            # σ(S + x) = σ^{V−x}(S) + σ^{V−S}(x)
+            return (sigma_s - through[x] + sigma_x) - sigma_s
+
+        def commit(v: int, gain: float) -> None:
+            nonlocal sigma_s
+            chosen.append(v)
+            allowed[v] = False
+            if len(chosen) < k:
+                # One σ(S) pass with through-counts for the next round.
+                through[:] = 0.0
+                sigma_s = 0.0
+                for u in chosen:
+                    self._tick(budget)
+                    sigma_s += simpath_spread(
+                        graph, u, allowed, self.eta, through=through, budget=budget
+                    )
+
+        seeds = lazy_forward(
+            self._initial_sigmas(graph, budget), k, evaluate, commit,
+            lookahead=self.lookahead,
+        )
         return seeds, {
             "eta": self.eta,
             "lookahead": self.lookahead,

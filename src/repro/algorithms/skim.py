@@ -34,9 +34,18 @@ from ..diffusion.models import Dynamics, PropagationModel
 from ..diffusion.snapshots import generate_lt_snapshot
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
-from .static_greedy import snapshot_adjacency
 
-__all__ = ["SKIM"]
+__all__ = ["SKIM", "snapshot_adjacency"]
+
+
+def snapshot_adjacency(graph: DiGraph, live: np.ndarray) -> list[np.ndarray]:
+    """Per-node live out-neighbour arrays for one snapshot."""
+    counts = np.zeros(graph.n, dtype=np.int64)
+    live_idx = np.nonzero(live)[0]
+    src = graph.edge_src[live_idx]
+    np.add.at(counts, src, 1)
+    splits = np.cumsum(counts)[:-1]
+    return np.split(graph.out_dst[live_idx], splits)
 
 
 def _reverse_adjacency(graph: DiGraph, live: np.ndarray) -> list[np.ndarray]:

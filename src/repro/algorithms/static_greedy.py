@@ -12,66 +12,28 @@ Because a covered node's reachable set is already fully covered, marginal
 BFS stops at covered nodes — marginal gains shrink rapidly across
 iterations, the property lazy evaluation feeds on.
 
-The reach computations are served by the snapshot spread oracle
-(:class:`repro.diffusion.oracle.SnapshotOracle`): all worlds advance in
-one vectorized multi-world BFS instead of R Python BFS walks.  World
-sampling goes through :func:`repro.diffusion.snapshots.sample_live_masks`
-— the same stream as the historical per-snapshot loop, and the gains are
-exact per-world counts either way, so seeded runs are unchanged.
-:func:`snapshot_adjacency` / :func:`_marginal_reach` remain the scalar
-reference implementation (SKIM and the property tests use them).
+That is exactly CELF over the snapshot spread oracle
+(:class:`repro.diffusion.oracle.SnapshotOracle`, all worlds advancing in
+one vectorized multi-world BFS), so :class:`StaticGreedy` is
+``CELF(mc_simulations=num_snapshots, spread_oracle="snapshot")`` under its
+own name, parameter and IC-only support.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any
-
-import heapq
-import itertools
 
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.oracle import SnapshotOracle
 from ..graph.digraph import DiGraph
-from .base import Budget, IMAlgorithm
+from .base import Budget
+from .celf import CELF
 
-__all__ = ["StaticGreedy", "snapshot_adjacency"]
-
-
-def snapshot_adjacency(graph: DiGraph, live: np.ndarray) -> list[np.ndarray]:
-    """Per-node live out-neighbour arrays for one snapshot."""
-    counts = np.zeros(graph.n, dtype=np.int64)
-    live_idx = np.nonzero(live)[0]
-    src = graph.edge_src[live_idx]
-    np.add.at(counts, src, 1)
-    splits = np.cumsum(counts)[:-1]
-    return np.split(graph.out_dst[live_idx], splits)
+__all__ = ["StaticGreedy"]
 
 
-def _marginal_reach(
-    adj: list[np.ndarray], covered: np.ndarray, source: int
-) -> list[int]:
-    """Nodes newly reachable from ``source``, stopping at covered nodes."""
-    if covered[source]:
-        return []
-    reached = [source]
-    seen = {source}
-    queue: deque[int] = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            v = int(v)
-            if v in seen or covered[v]:
-                continue
-            seen.add(v)
-            reached.append(v)
-            queue.append(v)
-    return reached
-
-
-class StaticGreedy(IMAlgorithm):
+class StaticGreedy(CELF):
     """Snapshot-averaged lazy greedy (the SG of the paper's figures)."""
 
     name = "StaticGreedy"
@@ -81,6 +43,7 @@ class StaticGreedy(IMAlgorithm):
     def __init__(self, num_snapshots: int = 250) -> None:
         if num_snapshots < 1:
             raise ValueError("num_snapshots must be positive")
+        super().__init__(mc_simulations=num_snapshots, spread_oracle="snapshot")
         self.num_snapshots = num_snapshots
 
     def _select(
@@ -91,35 +54,5 @@ class StaticGreedy(IMAlgorithm):
         rng: np.random.Generator,
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
-        oracle = SnapshotOracle(graph, model, self.num_snapshots, rng, budget=budget)
-
-        counter = itertools.count()
-        cached = np.zeros(graph.n, dtype=np.float64)
-        heap: list[tuple[float, int, int, int]] = []
-        for v in range(graph.n):
-            if v % 64 == 0:
-                self._tick(budget)
-            g = oracle.gain(v)
-            cached[v] = g
-            heapq.heappush(heap, (-g, next(counter), v, 0))
-
-        seeds: list[int] = []
-        in_seed = np.zeros(graph.n, dtype=bool)
-        while heap and len(seeds) < k:
-            neg_gain, __, v, round_tag = heapq.heappop(heap)
-            if in_seed[v] or -neg_gain != cached[v]:
-                continue
-            if round_tag == len(seeds):
-                seeds.append(v)
-                in_seed[v] = True
-                oracle.commit(v, -neg_gain)
-                continue
-            self._tick(budget)
-            g = oracle.gain(v)
-            cached[v] = g
-            heapq.heappush(heap, (-g, next(counter), v, len(seeds)))
-        return seeds, {
-            "num_snapshots": self.num_snapshots,
-            "estimated_spread": oracle.committed_sigma,
-            "sigma_evaluations": oracle.evaluations,
-        }
+        seeds, extras = super()._select(graph, k, model, rng, budget)
+        return seeds, {"num_snapshots": self.num_snapshots, **extras}

@@ -17,11 +17,11 @@ answers that stream; four backends trade accuracy structure for speed:
     and memoization is transparent.
 ``snapshot``
     The coin-flip technique of Sec. 4.3 generalized: presample R live-edge
-    worlds once (shared sampler with StaticGreedy/PMC in
+    worlds once (the sampler PMC also uses, in
     :mod:`repro.diffusion.snapshots`) and answer every query by cached
-    per-world reachability.  Marginal gains BFS only the *uncovered*
-    region, so CELF's queue re-evaluations stop re-sampling and get
-    cheaper as the seed set grows.
+    per-world reachability.  StaticGreedy is CELF on this backend.
+    Marginal gains BFS only the *uncovered* region, so CELF's queue
+    re-evaluations stop re-sampling and get cheaper as the seed set grows.
 ``sketch``
     The snapshot backend plus per-world bottom-k reachability sketches
     (Cohen's pruned rank-order construction), giving O(1)
@@ -68,6 +68,13 @@ __all__ = [
 ORACLE_BACKENDS = ("serial", "batched", "snapshot", "sketch")
 
 DEFAULT_MC_BATCH = 64
+
+#: Bottom-k sketch size of the sketch backend's reach estimates.
+SKETCH_K = 8
+
+#: Factor inflating sketch reach estimates into gain bounds, to absorb
+#: sketch error.
+SKETCH_SLACK = 1.25
 
 #: Default entry bound for the oracle memo caches.  Generous enough that a
 #: batch selection run (at most a few k·n gain queries) never evicts — the
@@ -346,7 +353,7 @@ class SnapshotOracle(SpreadOracle):
     set's per-world reachability (``covered``) persists, so marginal-gain
     BFS stops at covered nodes (anything beyond them is already covered)
     and iterations get progressively cheaper — the StaticGreedy/PMC
-    property, now available to CELF/CELF++/GREEDY.
+    property, available to every oracle-backed greedy.
     """
 
     name = "snapshot"
@@ -566,8 +573,8 @@ class SketchOracle(SnapshotOracle):
     Marginal gains under snapshot reuse only shrink as the seed set grows
     (submodularity, per world), so a node's world-average *total* reach
     bounds every gain it will ever post.  The sketches estimate that
-    reach in O(k·m) per world at build time; ``slack`` inflates the
-    estimate to absorb sketch error.  Bounds are approximate, not proofs:
+    reach in O(k·m) per world at build time; :data:`SKETCH_SLACK` inflates
+    the estimate to absorb sketch error.  Bounds are approximate, not proofs:
     lazy greedy using them trades the exactness guarantee for skipped
     evaluations (quantified in ``benchmarks/bench_spread_engine.py``).
     """
@@ -583,14 +590,8 @@ class SketchOracle(SnapshotOracle):
         num_worlds: int,
         rng: np.random.Generator,
         budget=None,
-        sketch_k: int = 8,
-        slack: float = 1.25,
     ) -> None:
         super().__init__(graph, model, num_worlds, rng, budget=budget)
-        if sketch_k < 2:
-            raise ValueError("sketch_k must be at least 2")
-        self.sketch_k = int(sketch_k)
-        self.slack = float(slack)
         with _tele().span("oracle.sketch_bounds"):
             self._bounds = self._build_bounds(rng, budget)
 
@@ -610,9 +611,9 @@ class SketchOracle(SnapshotOracle):
             rptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(owners[idx], minlength=n), out=rptr[1:])
             totals += _bottom_k_reach_estimates(
-                n, rptr, in_src[idx], rng.random(n), self.sketch_k
+                n, rptr, in_src[idx], rng.random(n), SKETCH_K
             )
-        return totals / self.num_worlds * self.slack
+        return totals / self.num_worlds * SKETCH_SLACK
 
     def gain_bound(self, v: int) -> float | None:
         return float(self._bounds[int(v)])
@@ -690,17 +691,15 @@ def make_oracle(
     mc_simulations: int,
     mc_batch: int | None = None,
     mc_workers: int | None = None,
-    num_worlds: int | None = None,
-    sketch_k: int = 8,
     budget=None,
 ) -> SpreadOracle:
     """Resolve a backend spec (CLI string, instance, or None) to an oracle.
 
     ``None`` keeps the byte-identical legacy path unless a batched/worker
     knob was set, in which case the content-keyed batched backend is the
-    natural owner of those knobs.  ``num_worlds`` defaults to
-    ``mc_simulations`` so snapshot noise is comparable to the MC noise
-    the algorithm was configured for.
+    natural owner of those knobs.  The snapshot and sketch backends
+    presample ``mc_simulations`` worlds, so snapshot noise is comparable
+    to the MC noise the algorithm was configured for.
     """
     if isinstance(spec, SpreadOracle):
         return spec
@@ -719,13 +718,10 @@ def make_oracle(
             batch=mc_batch or DEFAULT_MC_BATCH,
             workers=mc_workers,
         )
-    worlds = num_worlds if num_worlds is not None else mc_simulations
     if name == "snapshot":
-        return SnapshotOracle(graph, model, worlds, rng, budget=budget)
+        return SnapshotOracle(graph, model, mc_simulations, rng, budget=budget)
     if name == "sketch":
-        return SketchOracle(
-            graph, model, worlds, rng, budget=budget, sketch_k=sketch_k
-        )
+        return SketchOracle(graph, model, mc_simulations, rng, budget=budget)
     raise ValueError(
         f"unknown spread oracle {spec!r}; options: {', '.join(ORACLE_BACKENDS)}"
     )

@@ -696,7 +696,6 @@ class TreeStore(_StoreBase):
         starts = np.concatenate(([0], np.cumsum(sizes)))
         T = int(starts[-1])
         fnodes = np.concatenate([t.nodes for t in trees]) if trees else np.empty(0, np.int64)
-        franks = np.concatenate([np.arange(s, dtype=np.int64) for s in sizes]) if trees else np.empty(0, np.int64)
         ft = np.concatenate([t.e_tpos + s for t, s in zip(trees, starts)]) if trees else np.empty(0, np.int64)
         fc = np.concatenate([t.e_cpos + s for t, s in zip(trees, starts)]) if trees else np.empty(0, np.int64)
         fw = np.concatenate([t.e_w for t in trees]) if trees else np.empty(0, np.float64)

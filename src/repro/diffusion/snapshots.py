@@ -97,53 +97,25 @@ def generate_lt_snapshot(graph: DiGraph, rng: np.random.Generator) -> Snapshot:
     return Snapshot(graph, live)
 
 
-def _mask_chunk(
-    graph: DiGraph,
-    dynamics: Dynamics,
-    count: int,
-    seed_sequence_state: dict,
-) -> np.ndarray:
-    """Worker for parallel presampling: ``count`` live-edge worlds.
-
-    Module-level so it pickles; chunk-invariant operands (graph, dynamics)
-    lead per the pool's shared-args convention, so the graph ships once
-    per worker (shm arena when big enough).  The RNG is rebuilt from a
-    spawned ``SeedSequence`` state, making chunk replay byte-identical.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(**seed_sequence_state))
-    return sample_live_masks(graph, dynamics, count, rng)
-
-
 def sample_live_masks(
     graph: DiGraph,
     dynamics: Dynamics,
     count: int,
     rng: np.random.Generator,
     budget=None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Presample ``count`` live-edge worlds as one ``count×m`` boolean matrix.
 
-    The single sampling point shared by StaticGreedy, PMC and the snapshot
-    spread oracle.  Worlds are drawn row by row (one ``rng`` draw per
-    world), so the stream matches ``count`` sequential calls of the
-    per-snapshot generators exactly — swapping a per-world loop for this
-    helper cannot change a seeded run.  ``budget`` (anything with
+    The single sampling point shared by PMC and the snapshot spread oracle
+    (which StaticGreedy runs on).  Worlds are drawn row by row (one
+    ``rng`` draw per world), so the stream matches ``count`` sequential
+    calls of the per-snapshot generators exactly — swapping a per-world
+    loop for this helper cannot change a seeded run.  ``budget`` (anything with
     ``check()``) is ticked once per world, mirroring the cooperative
     budget convention of :meth:`FlatRRPool.extend`.
-
-    ``workers > 1`` fans the sampling out over the resilient worker pool
-    with the graph travelling via the shared-args transport.  Worker
-    streams are spawned from one ``SeedSequence`` draw, so parallel runs
-    are reproducible for a fixed (count, workers) pair but draw from a
-    different stream than the serial row-by-row loop (same contract as
-    ``monte_carlo_spread(workers=...)``).  The default (``None``) keeps
-    the serial, byte-identical path.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if workers is not None and workers > 1 and count > 1:
-        return _parallel_masks(graph, dynamics, count, rng, workers)
     masks = np.empty((count, graph.m), dtype=bool)
     for i in range(count):
         if budget is not None:
@@ -155,32 +127,6 @@ def sample_live_masks(
         else:  # pragma: no cover - exhaustive enum
             raise ValueError(f"unsupported dynamics {dynamics!r}")
     return masks
-
-
-def _parallel_masks(
-    graph: DiGraph,
-    dynamics: Dynamics,
-    count: int,
-    rng: np.random.Generator,
-    workers: int,
-) -> np.ndarray:
-    """Fan world presampling out over the resilient worker pool."""
-    # Lazy: a top-level framework import from diffusion would be circular.
-    from ..framework.pool import run_chunks
-
-    base = int(rng.integers(0, 2**63 - 1))
-    chunks = np.full(workers, count // workers, dtype=np.int64)
-    chunks[: count % workers] += 1
-    chunks = chunks[chunks > 0]
-    states = [{"entropy": base, "spawn_key": (i,)} for i in range(len(chunks))]
-    parts = run_chunks(
-        _mask_chunk,
-        [(int(c), s) for c, s in zip(chunks, states)],
-        workers=len(chunks),
-        label="snapshots.sample",
-        shared=(graph, dynamics),
-    )
-    return np.concatenate(parts, axis=0)
 
 
 def strongly_connected_components(snapshot: Snapshot) -> np.ndarray:

@@ -47,7 +47,7 @@ from typing import Any
 
 import numpy as np
 
-from ..algorithms.base import IMAlgorithm, SeedSelectionResult
+from ..algorithms.base import IMAlgorithm, SeedSelectionResult, _plain
 from ..diffusion.models import PropagationModel
 from ..graph.digraph import DiGraph
 from .metrics import (
@@ -60,7 +60,6 @@ from .metrics import (
     run_with_budget,
 )
 from .pool import Fault, armed_fault, reap
-from .results import _jsonable
 from .telemetry import Telemetry
 
 __all__ = [
@@ -203,7 +202,7 @@ def _fallback_payload(
     record = RunRecord(
         algorithm=algorithm.name, model=model.name, k=k, status=status, extras=extras
     )
-    return {"record": _jsonable(asdict(record)), "result": None}
+    return {"record": _plain(asdict(record)), "result": None}
 
 
 def _isolated_worker(
@@ -225,7 +224,7 @@ def _isolated_worker(
         if config.memory_limit_mb is not None:
             record.extras["memory_enforcement"] = enforcement or "tracemalloc"
         payload = {
-            "record": _jsonable(asdict(record)),
+            "record": _plain(asdict(record)),
             "result": result.to_payload() if result is not None else None,
         }
     except MemoryError:

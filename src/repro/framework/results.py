@@ -19,6 +19,7 @@ import os
 from dataclasses import asdict
 from typing import Any, Iterable, Mapping, Sequence
 
+from ..algorithms.base import _plain
 from .metrics import RunRecord
 
 __all__ = [
@@ -32,25 +33,9 @@ __all__ = [
 ]
 
 
-def _jsonable(value):
-    """Coerce numpy scalars and arrays hiding in extras to JSON types."""
-    if hasattr(value, "item") and not isinstance(value, (list, dict, str)):
-        try:
-            return value.item()
-        except (AttributeError, ValueError):
-            pass
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def save_records(records: Iterable[RunRecord], path: str | os.PathLike) -> None:
     """Serialize records to a JSON file."""
-    payload = [_jsonable(asdict(r)) for r in records]
+    payload = [_plain(asdict(r)) for r in records]
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
 
@@ -77,7 +62,7 @@ def cell_key(
     """
     payload: dict[str, Any] = {
         "algorithm": algorithm,
-        "params": _jsonable(dict(params or {})),
+        "params": _plain(dict(params or {})),
         "k": int(k),
     }
     if model is not None:
@@ -112,7 +97,7 @@ def append_record(
     newline is inserted first so the torn fragment cannot swallow this
     record by concatenation.
     """
-    line = json.dumps({"key": key, "record": _jsonable(asdict(record))})
+    line = json.dumps({"key": key, "record": _plain(asdict(record))})
     prefix = "\n" if _tail_needs_newline(path) else ""
     with open(path, "a") as handle:
         handle.write(prefix + line + "\n")

@@ -89,3 +89,51 @@ def test_all_techniques_agree_on_first_seed(reference_graphs):
         picks.append(algo.select(graph, 1, model,
                                  rng=np.random.default_rng(0)).seeds[0])
     assert len(set(picks)) <= 2
+
+
+#: Fully frozen outputs of the lazy-forward family at k=10, rng seed 7:
+#: (technique, params, model, seeds, estimated_spread).  The queue's pop
+#: order decides every tie between equal gains (the IC cells are full of
+#: them), so any change to the shared queue shows up here.  StaticGreedy's
+#: rows equal CELF's snapshot rows: it is CELF over the snapshot oracle.
+LAZY_FORWARD_GOLDEN = [
+    ("CELF", {"mc_simulations": 10}, "WC",
+     [5, 1, 8, 42, 10, 0, 22, 12, 39, 88], 51.3),
+    ("CELF", {"mc_simulations": 10, "spread_oracle": "batched"}, "WC",
+     [0, 5, 9, 44, 22, 3, 2, 35, 71, 34], 55.2),
+    ("CELF", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "IC",
+     [1, 2, 22, 8, 9, 61, 23, 4, 63, 45], 24.45),
+    ("CELF", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "WC",
+     [2, 1, 5, 22, 8, 4, 0, 18, 13, 24], 60.04999999999999),
+    ("CELF", {"mc_simulations": 20, "spread_oracle": "sketch"}, "IC",
+     [1, 2, 22, 8, 9, 61, 23, 4, 45, 63], 24.45),
+    ("CELF++", {"mc_simulations": 10}, "WC",
+     [1, 2, 24, 22, 17, 90, 74, 5, 41, 73], 54.4),
+    ("CELF++", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "WC",
+     [2, 1, 5, 22, 8, 4, 0, 18, 13, 24], 60.04999999999999),
+    ("StaticGreedy", {"num_snapshots": 20}, "IC",
+     [1, 2, 22, 8, 9, 61, 23, 4, 63, 45], 24.45),
+    ("StaticGreedy", {"num_snapshots": 20}, "WC",
+     [2, 1, 5, 22, 8, 4, 0, 18, 13, 24], 60.04999999999999),
+    ("PMC", {"num_snapshots": 20}, "IC",
+     [1, 2, 22, 8, 9, 61, 23, 4, 63, 45], 24.45),
+    ("SIMPATH", {"lookahead": 1}, "LT",
+     [5, 2, 1, 0, 22, 24, 21, 4, 18, 17], None),
+    ("SIMPATH", {}, "LT",
+     [5, 2, 1, 0, 22, 24, 21, 4, 18, 17], None),
+    ("SIMPATH", {"vertex_cover": True}, "LT",
+     [5, 2, 1, 0, 22, 24, 21, 4, 18, 17], None),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, model_name, seeds, spread", LAZY_FORWARD_GOLDEN
+)
+def test_lazy_forward_golden(name, params, model_name, seeds, spread,
+                             reference_graphs):
+    model = {"IC": IC, "WC": WC, "LT": LT}[model_name]
+    result = registry.make(name, **params).select(
+        reference_graphs[model_name], 10, model, rng=np.random.default_rng(7)
+    )
+    assert result.seeds == seeds
+    assert result.extras.get("estimated_spread") == spread

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms.pmc import PMC, contract_snapshot
-from repro.algorithms.static_greedy import StaticGreedy, snapshot_adjacency
+from repro.algorithms.skim import snapshot_adjacency
+from repro.algorithms.static_greedy import StaticGreedy
+from repro.datasets import load
 from repro.diffusion.models import IC, LT
+from repro.framework import IsolationConfig, execute_cell
 from repro.graph.digraph import DiGraph
 
 
@@ -110,3 +113,22 @@ class TestPMC:
     def test_invalid_snapshots(self):
         with pytest.raises(ValueError):
             PMC(num_snapshots=-1)
+
+
+class TestCooperativeTimeLimit:
+    """The snapshot family checks its budget per world and per gain, so a
+    cell ends close to its time limit instead of seconds after it."""
+
+    @pytest.mark.parametrize(
+        "algorithm, dataset",
+        [(StaticGreedy, "livejournal"), (PMC, "friendster")],
+    )
+    def test_dnf_soon_after_time_limit(self, algorithm, dataset):
+        record, result = execute_cell(
+            algorithm(num_snapshots=200), IC.weighted(load(dataset)), 10, IC,
+            rng=np.random.default_rng(0),
+            config=IsolationConfig(enabled=False, time_limit_seconds=0.5),
+        )
+        assert record.status == "DNF"
+        assert result is None
+        assert record.elapsed_seconds < 2.0

@@ -165,11 +165,10 @@ class TestOracleBackends:
         assert oracle.gain(1) == 0.0  # everything already covered
 
     def test_sketch_bound_dominates_gain_when_exact(self, sure_line):
-        # sketch_k > n: every sketch holds all ranks, so the estimate is
+        # SKETCH_K > n: every sketch holds all ranks, so the estimate is
         # the exact reach count and the bound dominates any marginal gain.
-        oracle = SketchOracle(
-            sure_line, Dynamics.IC, 8, np.random.default_rng(1), sketch_k=16
-        )
+        assert oracle_mod.SKETCH_K > sure_line.n
+        oracle = SketchOracle(sure_line, Dynamics.IC, 8, np.random.default_rng(1))
         for v in range(sure_line.n):
             assert oracle.gain_bound(v) >= oracle.gain(v)
 
@@ -227,8 +226,7 @@ class TestAlgorithmsWithOracles:
     @pytest.mark.parametrize("backend", ["batched", "snapshot", "sketch"])
     def test_backends_produce_valid_selections(self, small_powerlaw, name, backend):
         algo = registry.make(
-            name, mc_simulations=20, spread_oracle=backend,
-            mc_batch=16, num_worlds=20,
+            name, mc_simulations=20, spread_oracle=backend, mc_batch=16,
         )
         result = algo.select(small_powerlaw, 4, WC, rng=np.random.default_rng(9))
         assert len(result.seeds) == 4
@@ -253,10 +251,10 @@ class TestAlgorithmsWithOracles:
 
     def test_sketch_backend_skips_initial_scan(self, small_powerlaw):
         full = registry.make(
-            "CELF", mc_simulations=20, spread_oracle="snapshot", num_worlds=20
+            "CELF", mc_simulations=20, spread_oracle="snapshot"
         ).select(small_powerlaw, 3, WC, rng=np.random.default_rng(9))
         lazy = registry.make(
-            "CELF", mc_simulations=20, spread_oracle="sketch", num_worlds=20
+            "CELF", mc_simulations=20, spread_oracle="sketch"
         ).select(small_powerlaw, 3, WC, rng=np.random.default_rng(9))
         assert (
             lazy.extras["sigma_evaluations"] < full.extras["sigma_evaluations"]
@@ -266,7 +264,6 @@ class TestAlgorithmsWithOracles:
         for kwargs in (
             {"mc_batch": 0},
             {"mc_workers": 0},
-            {"num_worlds": 0},
             {"mc_simulations": 0},
         ):
             with pytest.raises(ValueError):
