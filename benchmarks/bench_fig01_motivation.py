@@ -2,9 +2,9 @@
 
 (a) IMM running time under IC (W = 0.1) vs WC on the Orkut analogue.
     Under constant-weight IC the dense graph is epidemic: every RR set
-    absorbs a large fraction of the graph, so time/memory blow up and the
-    run violates its budget ("crashes ... consuming more than 256 GB")
-    while WC — tiny RR sets — sails through.
+    absorbs a large fraction of the graph, so time and pool memory blow
+    up (the paper's run "crashes ... consuming more than 256 GB") while
+    WC — tiny RR sets — sails through.
 (b, c) EaSyIM (iter) vs IMM (ε = 0.5) on the YouTube analogue under IC:
     IMM is the faster technique, EaSyIM the (far) smaller one.
 

@@ -45,14 +45,11 @@ def main() -> None:
     )
 
     # The blow-up mechanism behind Figs. 1a/8: RR-set sizes under IC vs WC.
-    from repro.diffusion import Dynamics, random_rr_set
-
     rng = np.random.default_rng(3)
     for model in (diffusion.IC, diffusion.WC):
         graph = model.weighted(topology)
-        sizes = [
-            random_rr_set(graph, Dynamics.IC, rng)[0].size for __ in range(200)
-        ]
+        roots = rng.integers(0, graph.n, size=200)
+        sizes, __, __ = diffusion.sample_rr_sets(graph, model.dynamics, roots, rng)
         print(
             f"Average RR-set size under {model.name}: {np.mean(sizes):8.1f} "
             f"nodes (max {max(sizes)})"

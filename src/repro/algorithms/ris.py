@@ -8,7 +8,8 @@ of RR sets, then greedily max-cover it.
 The original algorithm sets its sampling budget through a threshold on
 total *width* (edges examined); this implementation exposes both knobs —
 ``num_rr_sets`` for a fixed pool size and ``width_budget`` for the
-original stopping rule.
+original stopping rule: keep every set up to the first one whose running
+width reaches the budget.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from typing import Any
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.rrpool import FlatRRPool, greedy_max_cover, random_rr_set
+from ..diffusion.rrpool import (
+    FlatRRPool,
+    greedy_max_cover,
+    rr_batch_size,
+    sample_rr_sets,
+)
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
@@ -37,8 +43,8 @@ class RIS(IMAlgorithm):
     """Fixed-budget reverse influence sampling.
 
     ``rr_workers > 1`` samples the pool across a process pool (flat-CSR
-    engine); the width-budget stopping rule forces serial sampling, since
-    the stop depends on the running width total.
+    engine); the width-budget stopping rule samples serially, one batch
+    at a time, since the stop depends on the running width total.
     """
 
     name = "RIS"
@@ -67,11 +73,23 @@ class RIS(IMAlgorithm):
     ) -> tuple[list[int], dict[str, Any]]:
         pool = FlatRRPool(graph.n)
         if self.width_budget is not None:
+            batch = rr_batch_size(graph.n)
             while len(pool) < self.num_rr_sets:
                 self._tick(budget)
-                nodes, width = random_rr_set(graph, model.dynamics, rng)
-                pool.add(nodes, width)
-                if pool.total_width >= self.width_budget:
+                roots = rng.integers(
+                    0, graph.n, size=min(batch, self.num_rr_sets - len(pool))
+                )
+                lengths, flat, widths = sample_rr_sets(
+                    graph, model.dynamics, roots, rng, budget
+                )
+                # Keep sets up to the first whose running width reaches
+                # the budget; the rest of the batch is dropped.
+                running = pool.total_width + np.cumsum(widths)
+                keep = int(np.searchsorted(running, self.width_budget)) + 1
+                pool.append_chunk(
+                    lengths[:keep], flat[: lengths[:keep].sum()], widths[:keep]
+                )
+                if keep <= widths.size:
                     break
         else:
             pool.extend(

@@ -54,7 +54,7 @@ from .opinion import (
     monte_carlo_opinion_spread,
     simulate_opinion_spread,
 )
-from .rrpool import FlatRRPool, greedy_max_cover, random_rr_set
+from .rrpool import FlatRRPool, greedy_max_cover, sample_rr_sets
 
 __all__ = [
     "IC",
@@ -104,5 +104,5 @@ __all__ = [
     "build_dag_store",
     "build_tree_store",
     "greedy_max_cover",
-    "random_rr_set",
+    "sample_rr_sets",
 ]

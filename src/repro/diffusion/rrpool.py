@@ -15,13 +15,28 @@ All four arrays are int64, so the pool's true memory footprint is just
 :attr:`FlatRRPool.nbytes` — the quantity the Table-6 memory benchmark
 wants, and impossible to read off a list-of-lists pool.
 
+Sampling is batched (:func:`sample_rr_sets`): a batch of
+``rr_batch_size(n)`` roots — enough for a ``(set, node)`` visited bitmap
+of about 1 MiB — grows all of its RR sets together, with one pass of
+numpy calls per IC BFS level or LT walk step instead of several Python
+calls per node.  IC levels are processed in slices of at most
+``RR_SLICE_EDGES`` in-edges, which bounds the transient arrays on dense
+graphs (where one IC set holds most of the graph) and the work between
+two budget checks.  Both sizes are module constants, not options.
+
 Sampling can fan out over a process pool (``workers > 1``) with worker
 streams spawned from one ``SeedSequence``, mirroring
-``monte_carlo_spread(workers=)``.  Determinism contract: a fixed
+``monte_carlo_spread(workers=)``; each chunk runs the same batched
+sampler, so its output is fixed by its spawn-key state and a lost chunk
+replays byte-identically.  Determinism contract: a fixed
 ``(count, workers)`` pair on the same parent RNG state always produces
-the same pool; serial (``workers in (None, 0, 1)``) and parallel pools
-draw from different streams and agree only distributionally (see
-``tests/test_rr_statistical.py``).
+the same pool.  The pool also depends on how sampling is split into
+calls: ``extend(a)`` then ``extend(b)`` draws both calls' roots before
+their coins and so differs from ``extend(a + b)`` on the same RNG.
+Serial (``workers in (None, 0, 1)``) and parallel pools draw from
+different streams, and the batched sampler consumes coins in another
+order than the per-set reference loop (``tests/reference/rr.py``); all
+of them agree only distributionally (see ``tests/test_rr_statistical.py``).
 
 ``greedy_max_cover`` is vectorized: per-node coverage counts live in one
 int64 array updated with ``np.bincount`` over the members of newly
@@ -38,7 +53,14 @@ from ..graph.digraph import DiGraph
 from ._frontier import gather_csr as _gather_csr
 from .models import Dynamics
 
-__all__ = ["FlatRRPool", "greedy_max_cover", "random_rr_set"]
+__all__ = [
+    "RR_BATCH_CELLS",
+    "RR_SLICE_EDGES",
+    "FlatRRPool",
+    "greedy_max_cover",
+    "rr_batch_size",
+    "sample_rr_sets",
+]
 
 
 def _tele():
@@ -49,64 +71,146 @@ def _tele():
     return current()
 
 
-def random_rr_set(
+#: Visited-bitmap cells of one sampling batch: a batch holds
+#: ``max(1, RR_BATCH_CELLS // n)`` roots, so its ``(set, node)`` bitmap
+#: stays near 1 MiB at any graph size.
+RR_BATCH_CELLS = 2**20
+
+#: In-edges one IC level slice may examine (a single node with more
+#: in-edges forms its own slice).  It bounds the slice's transient arrays
+#: and the work between two budget checks.
+RR_SLICE_EDGES = 2**16
+
+
+def rr_batch_size(n: int) -> int:
+    """Roots per sampling batch on an ``n``-node graph."""
+    return max(1, RR_BATCH_CELLS // n)
+
+
+def sample_rr_sets(
     graph: DiGraph,
     dynamics: Dynamics,
+    roots: np.ndarray,
     rng: np.random.Generator,
-    root: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Sample one RR set; returns ``(nodes, width)``.
+    budget=None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample one RR set per root; returns ``(lengths, flat_nodes, widths)``.
 
-    ``width`` counts the in-edges examined while growing the set — the
-    quantity TIM+ uses to estimate KPT (expected cascade cost).  Because
-    every visited node has its in-edges examined exactly once, ``width``
-    equals the sum of in-degrees over the returned set (a property-tested
-    invariant).
+    Roots are processed in batches of :func:`rr_batch_size` and every set
+    of a batch grows at once, keyed by ``set * n + node`` in one visited
+    bitmap: IC runs a level-synchronous reverse BFS, LT advances every
+    reverse random walk one step at a time.  Sets sharing a root share no
+    state.  Each member has its in-edges examined exactly once in its set
+    (IC: one independent coin per in-edge; LT: one in-edge picked with
+    probability ``w``, or none), so ``widths`` — the in-edges examined,
+    TIM+'s KPT input — equals each set's total in-degree.  Nodes come out
+    sorted by id within a set.  ``budget.check()`` runs once per IC level
+    slice and once per LT walk step.
     """
     if graph.n == 0:
         raise ValueError("graph has no nodes")
-    if root is None:
-        root = int(rng.integers(0, graph.n))
-    in_ptr, in_src, in_w = graph.in_ptr, graph.in_src, graph.in_w
-    visited = {root}
-    width = 0
-
+    roots = np.asarray(roots, dtype=np.int64)
+    if roots.size and (roots.min() < 0 or roots.max() >= graph.n):
+        raise ValueError("roots must be node ids of the graph")
     if dynamics is Dynamics.IC:
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            lo, hi = int(in_ptr[v]), int(in_ptr[v + 1])
-            width += hi - lo
-            if lo == hi:
-                continue
-            coins = rng.random(hi - lo)
-            hits = np.nonzero(coins < in_w[lo:hi])[0]
-            for j in hits:
-                u = int(in_src[lo + j])
-                if u not in visited:
-                    visited.add(u)
-                    frontier.append(u)
-        return np.fromiter(visited, dtype=np.int64, count=len(visited)), width
+        grow = _grow_ic
+    elif dynamics is Dynamics.LT:
+        grow = _grow_lt
+    else:  # pragma: no cover
+        raise ValueError(f"unsupported dynamics {dynamics!r}")
+    n = graph.n
+    in_degree = np.diff(graph.in_ptr)
+    step = rr_batch_size(n)
+    visited = np.zeros(min(step, roots.size) * n, dtype=bool)
+    parts = []
+    for lo in range(0, roots.size, step):
+        batch = roots[lo : lo + step]
+        keys = np.arange(batch.size, dtype=np.int64) * n + batch
+        keys = grow(graph, visited, keys, rng, budget)
+        keys.sort()  # every member key, in (set, node) order
+        visited[keys] = False  # clean bitmap for the next batch
+        set_ids, nodes = np.divmod(keys, n)
+        lengths = np.bincount(set_ids, minlength=batch.size)
+        starts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        widths = np.add.reduceat(in_degree[nodes], starts)
+        parts.append((lengths, nodes, widths.astype(np.int64, copy=False)))
+    if not parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
+    return tuple(np.concatenate(p) for p in zip(*parts))
 
-    if dynamics is Dynamics.LT:
-        v = root
-        while True:
-            lo, hi = int(in_ptr[v]), int(in_ptr[v + 1])
-            width += hi - lo
-            if lo == hi:
-                break
-            cumulative = np.cumsum(in_w[lo:hi])
-            j = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            if j >= hi - lo:
-                break  # residual probability 1 - sum(w): no live in-edge
-            u = int(in_src[lo + j])
-            if u in visited:
-                break  # walk closed a cycle; the set cannot grow further
-            visited.add(u)
-            v = u
-        return np.fromiter(visited, dtype=np.int64, count=len(visited)), width
 
-    raise ValueError(f"unsupported dynamics {dynamics!r}")  # pragma: no cover
+def _grow_ic(graph, visited, frontier, rng, budget) -> np.ndarray:
+    """Reverse BFS from every key of ``frontier`` at once, level by level.
+
+    Marks members in ``visited`` and returns every member key.
+    """
+    n = graph.n
+    in_ptr, in_src, in_w = graph.in_ptr, graph.in_src, graph.in_w
+    visited[frontier] = True
+    members = [frontier]
+    while frontier.size:
+        nodes = frontier % n
+        base = frontier - nodes  # key of each frontier entry's set
+        starts = in_ptr[nodes]
+        counts = in_ptr[nodes + 1] - starts
+        ends = np.cumsum(counts, dtype=np.int64)
+        offset = starts - ends + counts  # edge id minus level position
+        found = []
+        lo = 0
+        while lo < frontier.size:
+            if budget is not None:
+                budget.check()
+            floor = int(ends[lo - 1]) if lo else 0
+            cap = floor + RR_SLICE_EDGES
+            hi = max(int(np.searchsorted(ends, cap, side="right")), lo + 1)
+            total = int(ends[hi - 1]) - floor
+            if total:
+                # One coin per in-edge of the slice; ``row`` is each edge's
+                # frontier position, so a live edge keys its source into
+                # the edge's own set.
+                row = np.repeat(np.arange(lo, hi), counts[lo:hi])
+                edge = np.arange(floor, floor + total) + offset[row]
+                live = rng.random(total) < in_w[edge]
+                keys = base[row[live]] + in_src[edge[live]]
+                keys = keys[~visited[keys]]
+                if keys.size > 1:  # a node hit twice in one set joins once
+                    keys.sort()
+                    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+                    keys = keys[first]
+                visited[keys] = True
+                found.append(keys)
+            lo = hi
+        frontier = np.concatenate(found) if found else frontier[:0]
+        members.append(frontier)
+    return np.concatenate(members)
+
+
+def _grow_lt(graph, visited, walkers, rng, budget) -> np.ndarray:
+    """Advance every reverse random walk one step at a time.
+
+    Marks members in ``visited`` and returns every member key.  A walk
+    at ``v`` picks in-edge ``j`` with probability ``w_j`` (no edge
+    with the residual ``1 - sum(w)``) by locating ``cum[in_ptr[v]] + r``
+    in the global prefix sums of the in-weights; it stops on a revisit.
+    """
+    n = graph.n
+    in_ptr, in_src = graph.in_ptr, graph.in_src
+    cum = np.concatenate(([0.0], np.cumsum(graph.in_w)))
+    visited[walkers] = True
+    members = [walkers]
+    while walkers.size:
+        if budget is not None:
+            budget.check()
+        nodes = walkers % n
+        target = cum[in_ptr[nodes]] + rng.random(walkers.size)
+        edge = np.searchsorted(cum, target, side="right") - 1
+        moved = edge < in_ptr[nodes + 1]
+        walkers = (walkers - nodes)[moved] + in_src[edge[moved]]
+        walkers = walkers[~visited[walkers]]
+        visited[walkers] = True
+        members.append(walkers)
+    return np.concatenate(members)
 
 
 def _sample_rr_chunk(
@@ -123,24 +227,16 @@ def _sample_rr_chunk(
     the process pipe and appended to the pool as one chunk.
     """
     rng = np.random.default_rng(np.random.SeedSequence(**seed_sequence_state))
-    lengths = np.empty(count, dtype=np.int64)
-    widths = np.empty(count, dtype=np.int64)
-    parts: list[np.ndarray] = []
-    for i in range(count):
-        nodes, width = random_rr_set(graph, dynamics, rng)
-        lengths[i] = nodes.size
-        widths[i] = width
-        parts.append(nodes)
-    flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    return lengths, flat, widths
+    roots = rng.integers(0, graph.n, size=count)
+    return sample_rr_sets(graph, dynamics, roots, rng)
 
 
 class FlatRRPool:
     """A pool of RR sets held as two int64 CSR pairs.
 
-    Appends are O(1) amortized: new sets accumulate in a pending list and
-    are compacted into the flat arrays on the next read of a CSR view.
-    The inverted node→sets index is rebuilt lazily after any append.
+    Sets arrive in whole sampled chunks (:meth:`append_chunk`), so the
+    set view is always flat; the inverted node→sets index is rebuilt
+    lazily after any append.
     """
 
     __slots__ = (
@@ -149,8 +245,6 @@ class FlatRRPool:
         "_ptr",
         "_nodes",
         "_widths",
-        "_pending_nodes",
-        "_pending_widths",
         "_node_ptr",
         "_node_sets",
     )
@@ -163,8 +257,6 @@ class FlatRRPool:
         self._ptr = np.zeros(1, dtype=np.int64)
         self._nodes = np.empty(0, dtype=np.int64)
         self._widths = np.empty(0, dtype=np.int64)
-        self._pending_nodes: list[np.ndarray] = []
-        self._pending_widths: list[int] = []
         self._node_ptr: np.ndarray | None = None
         self._node_sets: np.ndarray | None = None
 
@@ -173,17 +265,18 @@ class FlatRRPool:
     # ------------------------------------------------------------------
 
     def add(self, nodes: np.ndarray, width: int = 0) -> None:
-        """Append one RR set to the pool."""
-        self._pending_nodes.append(np.asarray(nodes, dtype=np.int64))
-        self._pending_widths.append(int(width))
-        self.total_width += int(width)
-        self._node_ptr = self._node_sets = None
+        """Append one RR set to the pool (a one-set chunk)."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        self.append_chunk(
+            np.array([nodes.size], dtype=np.int64),
+            nodes,
+            np.array([width], dtype=np.int64),
+        )
 
-    def _append_chunk(
+    def append_chunk(
         self, lengths: np.ndarray, flat: np.ndarray, widths: np.ndarray
     ) -> None:
-        """Append a whole sampled chunk (one worker's output) at once."""
-        self._compact()
+        """Append a whole sampled chunk: ``(lengths, flat_nodes, widths)``."""
         self._ptr = np.concatenate(
             [self._ptr, self._ptr[-1] + np.cumsum(lengths, dtype=np.int64)]
         )
@@ -196,10 +289,9 @@ class FlatRRPool:
         """Append every set of ``other`` (D-SSA's pool recycling)."""
         if other.n != self.n:
             raise ValueError("pools cover different node universes")
-        other._compact()
         if len(other) == 0:
             return
-        self._append_chunk(np.diff(other._ptr), other._nodes, other._widths)
+        self.append_chunk(np.diff(other._ptr), other._nodes, other._widths)
 
     def extend(
         self,
@@ -212,12 +304,15 @@ class FlatRRPool:
     ) -> None:
         """Sample ``count`` additional RR sets from ``graph``.
 
-        ``workers > 1`` fans the sampling out over a process pool; each
-        worker's stream is spawned from one ``SeedSequence`` drawn from
-        ``rng``, so a fixed ``(count, workers)`` pair is reproducible.
-        ``budget`` (anything with ``check()``) is ticked per set when
-        serial and per returned chunk when parallel, so preemptive limits
-        still interrupt long sampling phases.
+        Serial sampling draws ``count`` uniform roots from ``rng`` and
+        hands them to :func:`sample_rr_sets`.  ``workers > 1`` fans the
+        sampling out over a process pool; each worker's stream is spawned
+        from one ``SeedSequence`` drawn from ``rng``, so a fixed
+        ``(count, workers)`` pair is reproducible.  ``budget`` (anything
+        with ``check()``) is ticked inside the sampler when serial (per
+        IC level slice, per LT walk step) and per returned chunk when
+        parallel, so preemptive limits still interrupt long sampling
+        phases.
         """
         if count <= 0:
             return
@@ -226,11 +321,10 @@ class FlatRRPool:
             if workers is not None and workers > 1 and count > 1:
                 self._extend_parallel(graph, dynamics, count, rng, workers, budget)
             else:
-                for __ in range(count):
-                    if budget is not None:
-                        budget.check()
-                    nodes, width = random_rr_set(graph, dynamics, rng)
-                    self.add(nodes, width)
+                roots = rng.integers(0, graph.n, size=count)
+                self.append_chunk(
+                    *sample_rr_sets(graph, dynamics, roots, rng, budget)
+                )
         tele.count("rrpool.rr_sets", count)
 
     def _extend_parallel(
@@ -266,44 +360,25 @@ class FlatRRPool:
             shared=(graph, dynamics),
         )
         for lengths, flat, widths in parts:
-            self._append_chunk(lengths, flat, widths)
+            self.append_chunk(lengths, flat, widths)
 
     # ------------------------------------------------------------------
     # CSR views
     # ------------------------------------------------------------------
 
-    def _compact(self) -> None:
-        if not self._pending_nodes:
-            return
-        lens = np.fromiter(
-            (a.size for a in self._pending_nodes),
-            dtype=np.int64,
-            count=len(self._pending_nodes),
-        )
-        self._ptr = np.concatenate([self._ptr, self._ptr[-1] + np.cumsum(lens)])
-        self._nodes = np.concatenate([self._nodes, *self._pending_nodes])
-        self._widths = np.concatenate(
-            [self._widths, np.asarray(self._pending_widths, dtype=np.int64)]
-        )
-        self._pending_nodes = []
-        self._pending_widths = []
-
     @property
     def set_ptr(self) -> np.ndarray:
         """Set-view CSR offsets (``num_sets + 1`` int64)."""
-        self._compact()
         return self._ptr
 
     @property
     def set_nodes(self) -> np.ndarray:
         """Set-view CSR payload: node ids, grouped by set."""
-        self._compact()
         return self._nodes
 
     @property
     def widths(self) -> np.ndarray:
         """Per-set width (in-edges examined while sampling it)."""
-        self._compact()
         return self._widths
 
     @property
@@ -315,7 +390,6 @@ class FlatRRPool:
         """
         if self._node_ptr is None:
             with _tele().span("rrpool.invert_index"):
-                self._compact()
                 set_ids = np.repeat(
                     np.arange(len(self), dtype=np.int64), np.diff(self._ptr)
                 )
@@ -354,7 +428,6 @@ class FlatRRPool:
     def nbytes_detail(self) -> dict[str, int]:
         """:attr:`nbytes` split into ``set_view`` and ``node_index`` (0
         until the inverted index's lazy build)."""
-        self._compact()
         node_index = 0
         if self._node_ptr is not None:
             node_index = int(self._node_ptr.nbytes + self._node_sets.nbytes)
@@ -366,7 +439,7 @@ class FlatRRPool:
         }
 
     def __len__(self) -> int:
-        return self._ptr.shape[0] - 1 + len(self._pending_nodes)
+        return self._ptr.shape[0] - 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n}, sets={len(self)})"

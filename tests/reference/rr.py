@@ -1,18 +1,86 @@
-"""The list-walking RR max-cover and the list-view pool it walks.
+"""The per-set RR sampler, the list-walking RR max-cover and its pool.
 
-:func:`repro.diffusion.rrpool.greedy_max_cover` replaced this loop with
-a vectorized cover over the flat CSR pool; the equivalence tests assert
-both return byte-identical seed sets, and ``benchmarks/bench_rr_engine.py``
-times one against the other.
+:func:`repro.diffusion.rrpool.greedy_max_cover` replaced the list loop
+with a vectorized cover over the flat CSR pool; the equivalence tests
+assert both return byte-identical seed sets, and
+``benchmarks/bench_rr_engine.py`` times one against the other.
+
+:func:`random_rr_set` is the one-set-per-call reverse BFS / reverse walk
+that :func:`repro.diffusion.rrpool.sample_rr_sets` replaced.  The batched
+kernel consumes the RNG in another order, so the two agree only in
+distribution: ``tests/test_rr_statistical.py`` compares their set sizes,
+widths and per-node membership counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.diffusion.models import Dynamics
 from repro.diffusion.rrpool import FlatRRPool, pad_seeds
+from repro.graph.digraph import DiGraph
 
-__all__ = ["RRCollection", "greedy_max_cover_legacy"]
+__all__ = ["RRCollection", "greedy_max_cover_legacy", "random_rr_set"]
+
+
+def random_rr_set(
+    graph: DiGraph,
+    dynamics: Dynamics,
+    rng: np.random.Generator,
+    root: int | None = None,
+) -> tuple[np.ndarray, int]:
+    """Sample one RR set; returns ``(nodes, width)``.
+
+    ``width`` counts the in-edges examined while growing the set — the
+    quantity TIM+ uses to estimate KPT (expected cascade cost).  Because
+    every visited node has its in-edges examined exactly once, ``width``
+    equals the sum of in-degrees over the returned set (a property-tested
+    invariant).
+    """
+    if graph.n == 0:
+        raise ValueError("graph has no nodes")
+    if root is None:
+        root = int(rng.integers(0, graph.n))
+    in_ptr, in_src, in_w = graph.in_ptr, graph.in_src, graph.in_w
+    visited = {root}
+    width = 0
+
+    if dynamics is Dynamics.IC:
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            lo, hi = int(in_ptr[v]), int(in_ptr[v + 1])
+            width += hi - lo
+            if lo == hi:
+                continue
+            coins = rng.random(hi - lo)
+            hits = np.nonzero(coins < in_w[lo:hi])[0]
+            for j in hits:
+                u = int(in_src[lo + j])
+                if u not in visited:
+                    visited.add(u)
+                    frontier.append(u)
+        return np.fromiter(visited, dtype=np.int64, count=len(visited)), width
+
+    if dynamics is Dynamics.LT:
+        v = root
+        while True:
+            lo, hi = int(in_ptr[v]), int(in_ptr[v + 1])
+            width += hi - lo
+            if lo == hi:
+                break
+            cumulative = np.cumsum(in_w[lo:hi])
+            j = int(np.searchsorted(cumulative, rng.random(), side="right"))
+            if j >= hi - lo:
+                break  # residual probability 1 - sum(w): no live in-edge
+            u = int(in_src[lo + j])
+            if u in visited:
+                break  # walk closed a cycle; the set cannot grow further
+            visited.add(u)
+            v = u
+        return np.fromiter(visited, dtype=np.int64, count=len(visited)), width
+
+    raise ValueError(f"unsupported dynamics {dynamics!r}")  # pragma: no cover
 
 
 class RRCollection(FlatRRPool):
@@ -33,13 +101,9 @@ class RRCollection(FlatRRPool):
         for nodes in sets or []:
             self.add(nodes)
 
-    def add(self, nodes: np.ndarray, width: int = 0) -> None:
+    def append_chunk(self, lengths, flat, widths) -> None:
         self._sets_cache = self._member_cache = None
-        super().add(nodes, width)
-
-    def _append_chunk(self, lengths, flat, widths) -> None:
-        self._sets_cache = self._member_cache = None
-        super()._append_chunk(lengths, flat, widths)
+        super().append_chunk(lengths, flat, widths)
 
     @property
     def sets(self) -> list[np.ndarray]:

@@ -1,13 +1,17 @@
 """Property-based tests (hypothesis) on core structures and invariants."""
 
+from contextlib import ExitStack
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.diffusion import rrpool
 from repro.diffusion._frontier import gather_edges
 from repro.diffusion.models import Dynamics
-from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, random_rr_set
+from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, sample_rr_sets
 from repro.graph import weights as weight_schemes
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
@@ -141,84 +145,124 @@ class TestFrontierGather:
         assert np.array_equal(np.sort(got), np.sort(expected))
 
 
+@st.composite
+def batch_roots(draw, n):
+    """``(roots, split)``: a multi-root batch that repeats at least one
+    root, and whether to sample it in two-root batches of one-node IC
+    level slices instead of one batch."""
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=12))
+    return np.asarray(roots + [roots[0]], dtype=np.int64), draw(st.booleans())
+
+
+def rr_sets(g, dynamics, batch, seed):
+    """``[(root, members, width)]`` for one batched draw."""
+    roots, split = batch
+    with ExitStack() as stack:
+        if split:
+            stack.enter_context(patch.object(rrpool, "RR_BATCH_CELLS", 2 * g.n))
+            stack.enter_context(patch.object(rrpool, "RR_SLICE_EDGES", 1))
+        lengths, nodes, widths = sample_rr_sets(
+            g, dynamics, roots, np.random.default_rng(seed)
+        )
+    bounds = np.concatenate(([0], np.cumsum(lengths)))
+    return [
+        (int(root), nodes[bounds[i] : bounds[i + 1]], int(widths[i]))
+        for i, root in enumerate(roots)
+    ]
+
+
 class TestRandomRRSetInvariants:
-    """Invariants of a single RR-set draw, under both dynamics.
+    """Invariants of every RR set of a batched draw, under both dynamics.
 
     An RR set is the set of nodes that reach the root through live
     edges, so: the root is always a member, every member reaches the
     root inside the set, LT sets are simple paths (the reverse walk
     keeps at most one in-edge per node), and ``width`` equals the total
     in-degree of the set (each member's in-edges are examined once).
+    Each batch repeats a root, whose sets must hold the invariants
+    independently, and half the draws split it into several batches and
+    one-node level slices.
     """
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_nodes=8, max_edges=16), st.integers(0, 2**31 - 1), st.data())
     def test_root_always_in_set(self, g, seed, data):
-        root = data.draw(st.integers(0, g.n - 1))
+        batch = data.draw(batch_roots(g.n))
         for dynamics in (Dynamics.IC, Dynamics.LT):
-            nodes, __ = random_rr_set(
-                g, dynamics, np.random.default_rng(seed), root=root
-            )
-            assert root in nodes.tolist()
+            for root, nodes, __ in rr_sets(g, dynamics, batch, seed):
+                assert root in nodes.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_nodes=8, max_edges=16), st.integers(0, 2**31 - 1), st.data())
     def test_members_reach_root_within_set(self, g, seed, data):
-        root = data.draw(st.integers(0, g.n - 1))
+        batch = data.draw(batch_roots(g.n))
         for dynamics in (Dynamics.IC, Dynamics.LT):
-            nodes, __ = random_rr_set(
-                g, dynamics, np.random.default_rng(seed), root=root
-            )
-            members = set(nodes.tolist())
-            # Reverse-close from the root over examined in-edges: the
-            # fixpoint must recover every member (RR sets are closed
-            # under path intermediates).
-            reached = {root}
-            grew = True
-            while grew:
-                grew = False
-                for v in list(reached):
-                    srcs, __ = g.in_neighbors(v)
-                    for u in srcs:
-                        u = int(u)
-                        if u in members and u not in reached:
-                            reached.add(u)
-                            grew = True
-            assert reached == members
+            for root, nodes, __ in rr_sets(g, dynamics, batch, seed):
+                members = set(nodes.tolist())
+                # Reverse-close from the root over examined in-edges: the
+                # fixpoint must recover every member (RR sets are closed
+                # under path intermediates).
+                reached = {root}
+                grew = True
+                while grew:
+                    grew = False
+                    for v in list(reached):
+                        srcs, __ = g.in_neighbors(v)
+                        for u in srcs:
+                            u = int(u)
+                            if u in members and u not in reached:
+                                reached.add(u)
+                                grew = True
+                assert reached == members
+                assert len(members) == nodes.size  # each member once
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs(max_nodes=8, max_edges=16, weighted=False),
+           st.integers(0, 2**31 - 1), st.data())
+    def test_ic_unit_weights_reach_exactly_the_ancestors(self, g, seed, data):
+        # Every in-edge is live, so each set must be its root's ancestors
+        # (the root included), whatever the batch and slice split: an
+        # in-edge skipped or examined twice shows up here.
+        batch = data.draw(batch_roots(g.n))
+        for root, nodes, __ in rr_sets(g, Dynamics.IC, batch, seed):
+            ancestors, stack = {root}, [root]
+            while stack:
+                for u in g.in_neighbors(stack.pop())[0].tolist():
+                    if u not in ancestors:
+                        ancestors.add(u)
+                        stack.append(u)
+            assert nodes.tolist() == sorted(ancestors)
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_nodes=8, max_edges=16, weighted=False),
            st.integers(0, 2**31 - 1), st.data())
     def test_lt_set_is_a_simple_path(self, g, seed, data):
         wg = weight_schemes.lt_uniform(g)
-        root = data.draw(st.integers(0, wg.n - 1))
-        nodes, __ = random_rr_set(
-            wg, Dynamics.LT, np.random.default_rng(seed), root=root
-        )
-        members = set(nodes.tolist())
+        batch = data.draw(batch_roots(wg.n))
 
-        def extends_to_path(v, visited):
-            if len(visited) == len(members):
-                return True
-            srcs, __ = wg.in_neighbors(v)
-            return any(
-                extends_to_path(int(u), visited | {int(u)})
-                for u in srcs
-                if int(u) in members and int(u) not in visited
-            )
+        for root, nodes, __ in rr_sets(wg, Dynamics.LT, batch, seed):
+            members = set(nodes.tolist())
 
-        assert extends_to_path(root, {root})
+            def extends_to_path(v, visited):
+                if len(visited) == len(members):
+                    return True
+                srcs, __ = wg.in_neighbors(v)
+                return any(
+                    extends_to_path(int(u), visited | {int(u)})
+                    for u in srcs
+                    if int(u) in members and int(u) not in visited
+                )
+
+            assert extends_to_path(root, {root})
 
     @settings(max_examples=60, deadline=None)
     @given(small_graphs(max_nodes=8, max_edges=16), st.integers(0, 2**31 - 1), st.data())
     def test_width_equals_in_edges_examined(self, g, seed, data):
-        root = data.draw(st.integers(0, g.n - 1))
+        batch = data.draw(batch_roots(g.n))
         in_degree = g.in_degree()
         for dynamics in (Dynamics.IC, Dynamics.LT):
-            nodes, width = random_rr_set(
-                g, dynamics, np.random.default_rng(seed), root=root
-            )
-            assert width == int(in_degree[nodes].sum())
+            for __, nodes, width in rr_sets(g, dynamics, batch, seed):
+                assert width == int(in_degree[nodes].sum())
 
 
 class TestMaxCoverProperties:

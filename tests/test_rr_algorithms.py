@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms import ris as ris_module
 from repro.algorithms.imm import IMM
 from repro.algorithms.ris import RIS, log_comb
 from repro.algorithms.tim import TIMPlus
+from repro.diffusion import rrpool
 from repro.diffusion.models import IC, LT, WC
+from repro.diffusion.rrpool import greedy_max_cover
 from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
 
@@ -45,6 +48,35 @@ class TestRIS:
             hub_graph, 1, IC, rng=rng
         )
         assert res.extras["num_rr_sets"] < 100000
+
+    @pytest.mark.parametrize("batch_cells", [rrpool.RR_BATCH_CELLS, 14 * 3])
+    def test_width_budget_keeps_sets_up_to_the_first_reaching_it(
+        self, hub_graph, rng, monkeypatch, batch_cells
+    ):
+        # 14 * 3 cells make three-set batches on this 14-node graph, so
+        # the stop falls inside a later batch, not the first.
+        monkeypatch.setattr(rrpool, "RR_BATCH_CELLS", batch_cells)
+        pools = []
+
+        def cover(pool, k, pad_priority=None):
+            pools.append(pool)
+            return greedy_max_cover(pool, k, pad_priority)
+
+        monkeypatch.setattr(ris_module, "greedy_max_cover", cover)
+        budget = 50
+        res = RIS(num_rr_sets=100000, width_budget=budget).select(
+            hub_graph, 1, IC, rng=rng
+        )
+        (pool,) = pools
+        assert res.extras["total_width"] == pool.total_width
+        assert pool.total_width >= budget
+        assert pool.total_width - pool.widths[-1] < budget
+
+    def test_width_budget_capped_at_num_rr_sets(self, hub_graph, rng):
+        res = RIS(num_rr_sets=7, width_budget=10**9).select(
+            hub_graph, 1, IC, rng=rng
+        )
+        assert res.extras["num_rr_sets"] == 7
 
     def test_supports_lt(self, two_cliques, rng):
         res = RIS(num_rr_sets=500).select(two_cliques, 1, LT, rng=rng)

@@ -3,8 +3,11 @@
 Serial and parallel RR pools draw from different ``SeedSequence``
 streams, so they can never be compared sample-for-sample — but they must
 agree *distributionally*: same RR-set size law, same coverage estimates.
-These tests pin that down with KS and chi-squared statistics on a seeded
-power-law graph, plus exact-oracle convergence checks on tiny graphs.
+The same holds between the batched sampler and the per-set reference
+loop it replaced (``tests/reference/rr.py``), which consume coins in a
+different order.  These tests pin that down with KS and chi-squared
+statistics on a seeded power-law graph, plus exact-oracle convergence
+checks on tiny graphs.
 
 Everything runs on fixed seeds, so the p-value assertions are
 deterministic; the suite doubles as a standalone CI job via
@@ -19,7 +22,7 @@ from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 from tests.oracles import exact_spread
-from tests.reference import greedy_max_cover_legacy
+from tests.reference import greedy_max_cover_legacy, random_rr_set
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -97,6 +100,56 @@ class TestSerialVsParallelDistribution:
         s_seeds, __ = greedy_max_cover(serial, 1, pad_priority=degree)
         p_seeds, __ = greedy_max_cover(parallel, 1, pad_priority=degree)
         assert s_seeds == p_seeds
+
+
+def reference_draws(graph, dynamics, seed=202, count=POOL_SIZE):
+    """``(sizes, widths, membership counts)`` of ``count`` per-set draws."""
+    rng = np.random.default_rng(seed)
+    draws = [random_rr_set(graph, dynamics, rng) for __ in range(count)]
+    sizes = np.array([nodes.size for nodes, __ in draws])
+    widths = np.array([width for __, width in draws])
+    members = np.bincount(
+        np.concatenate([nodes for nodes, __ in draws]), minlength=graph.n
+    )
+    return sizes, widths, members
+
+
+def membership_table(a, b, min_total=10):
+    """2xK table of per-node membership counts.
+
+    Nodes with fewer than ``min_total`` memberships in both pools pooled
+    into one column keep every expected cell count large enough for the
+    chi-squared approximation.
+    """
+    common = a + b >= min_total
+    table = np.array([a[common], b[common]])
+    rest = np.array([[a[~common].sum()], [b[~common].sum()]])
+    if rest.sum():
+        table = np.hstack([table, rest])
+    return table
+
+
+class TestBatchedVsReference:
+    """The batched sampler draws the per-set loop's RR-set law."""
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    def test_sizes_ks(self, powerlaw_graph, dynamics):
+        batched = sample_pool(powerlaw_graph, dynamics, workers=None)
+        sizes, __, __ = reference_draws(powerlaw_graph, dynamics)
+        assert stats.ks_2samp(set_sizes(batched), sizes).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    def test_widths_ks(self, powerlaw_graph, dynamics):
+        batched = sample_pool(powerlaw_graph, dynamics, workers=None)
+        __, widths, __ = reference_draws(powerlaw_graph, dynamics)
+        assert stats.ks_2samp(batched.widths, widths).pvalue > P_FLOOR
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    def test_membership_chi_squared(self, powerlaw_graph, dynamics):
+        batched = sample_pool(powerlaw_graph, dynamics, workers=None)
+        __, __, members = reference_draws(powerlaw_graph, dynamics)
+        table = membership_table(batched.membership_counts(), members)
+        assert stats.chi2_contingency(table).pvalue > P_FLOOR
 
 
 class TestFlatVsLegacyCover:

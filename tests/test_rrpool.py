@@ -1,10 +1,15 @@
 """Unit tests for the flat CSR RR-set engine (repro.diffusion.rrpool)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.diffusion.models import Dynamics, WC
+from repro.algorithms.imm import IMM
+from repro.datasets import load
+from repro.diffusion.models import IC, Dynamics, WC
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, pad_seeds
+from repro.framework import IsolationConfig, execute_cell
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 from tests.reference import RRCollection, greedy_max_cover_legacy
@@ -44,13 +49,14 @@ class TestFlatCSRLayout:
         for v in range(pool.n):
             assert pool.sets_of(v).tolist() == expected[v]
 
-    def test_incremental_adds_compact_lazily(self):
+    def test_incremental_adds_append_whole_sets(self):
         pool = FlatRRPool(4)
         pool.add(np.array([0]))
-        assert len(pool) == 1  # pending, not yet compacted
-        __ = pool.set_ptr  # forces compaction
+        assert len(pool) == 1
+        assert pool.set_ptr.tolist() == [0, 1]
         pool.add(np.array([1, 2]), width=3)
         assert len(pool) == 2
+        assert pool.set_ptr.tolist() == [0, 1, 3]
         assert pool.set_nodes.tolist() == [0, 1, 2]
         assert pool.widths.tolist() == [0, 3]
         assert pool.total_width == 3
@@ -215,3 +221,40 @@ class TestRRCollectionShim:
         pool.add(np.array([0, 1]))
         assert pool.member_of[0] == [0, 1]
         assert len(pool.sets) == 2
+
+
+class TestBatchingGuards:
+    """Batched sampling keeps the per-set loop's memory and budget bounds.
+
+    On the dense ``orkut`` analogue an IC RR set holds most of the graph,
+    so one unsliced BFS level over a batch would examine millions of
+    in-edges at once: tens of MB of transient arrays and seconds between
+    budget checks.  Level slicing caps both.
+    """
+
+    @pytest.fixture(scope="class")
+    def orkut_ic(self):
+        return IC.weighted(load("orkut"), np.random.default_rng(0))
+
+    def test_transient_memory_stays_near_the_pool(self, orkut_ic):
+        pool = FlatRRPool(orkut_ic.n)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base, __ = tracemalloc.get_traced_memory()
+            pool.extend(orkut_ic, Dynamics.IC, 50, np.random.default_rng(0))
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - base <= pool.nbytes + 16e6
+
+    def test_time_limit_interrupts_sampling(self, orkut_ic):
+        record, __ = execute_cell(
+            IMM(rr_scale=1.0), orkut_ic, 10, IC,
+            rng=np.random.default_rng(0),
+            config=IsolationConfig(enabled=False, time_limit_seconds=0.5),
+        )
+        assert record.status == "DNF"
+        assert record.elapsed_seconds < 1.5

@@ -4,49 +4,84 @@ import numpy as np
 import pytest
 
 from repro.diffusion.models import Dynamics
-from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, random_rr_set
+from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, sample_rr_sets
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
 from tests.reference import RRCollection
 
 
+def one_set(graph, dynamics, rng, root):
+    """The RR set of ``root`` drawn through the batched sampler."""
+    lengths, nodes, widths = sample_rr_sets(graph, dynamics, np.array([root]), rng)
+    assert lengths.tolist() == [nodes.size]
+    return nodes, int(widths[0])
+
+
 class TestRandomRRSet:
     def test_root_always_included(self, diamond_graph, rng):
-        nodes, __ = random_rr_set(diamond_graph, Dynamics.IC, rng, root=3)
+        nodes, __ = one_set(diamond_graph, Dynamics.IC, rng, root=3)
         assert 3 in nodes.tolist()
 
     def test_unit_weights_reach_all_ancestors(self, rng):
         g = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[1.0, 1.0])
-        nodes, __ = random_rr_set(g, Dynamics.IC, rng, root=2)
+        nodes, __ = one_set(g, Dynamics.IC, rng, root=2)
         assert sorted(nodes.tolist()) == [0, 1, 2]
 
     def test_zero_weights_stay_at_root(self, rng):
         g = DiGraph.from_edges(3, [(0, 1), (1, 2)], weights=[0.0, 0.0])
-        nodes, __ = random_rr_set(g, Dynamics.IC, rng, root=2)
+        nodes, __ = one_set(g, Dynamics.IC, rng, root=2)
         assert nodes.tolist() == [2]
 
     def test_width_counts_in_edges(self, rng):
         g = DiGraph.from_edges(4, [(0, 3), (1, 3), (2, 3)], weights=[0.0, 0.0, 0.0])
-        __, width = random_rr_set(g, Dynamics.IC, rng, root=3)
+        __, width = one_set(g, Dynamics.IC, rng, root=3)
         assert width == 3
 
     def test_lt_rr_is_a_path(self, rng):
         # Under LT the RR set is a reverse walk: its size never exceeds
         # the longest simple path + 1 and each step has one parent.
         g = DiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)], weights=[1.0, 1.0, 1.0])
-        nodes, __ = random_rr_set(g, Dynamics.LT, rng, root=3)
+        nodes, __ = one_set(g, Dynamics.LT, rng, root=3)
         assert sorted(nodes.tolist()) == [0, 1, 2, 3]
 
     def test_lt_residual_stops_walk(self, rng):
         g = DiGraph.from_edges(2, [(0, 1)], weights=[0.4])
-        sizes = [
-            random_rr_set(g, Dynamics.LT, rng, root=1)[0].size for __ in range(4000)
-        ]
-        assert np.mean([s == 2 for s in sizes]) == pytest.approx(0.4, abs=0.03)
+        sizes, __, __ = sample_rr_sets(g, Dynamics.LT, np.full(4000, 1), rng)
+        assert np.mean(sizes == 2) == pytest.approx(0.4, abs=0.03)
 
     def test_empty_graph_raises(self, rng):
         with pytest.raises(ValueError):
-            random_rr_set(DiGraph.from_edges(0, []), Dynamics.IC, rng)
+            sample_rr_sets(DiGraph.from_edges(0, []), Dynamics.IC, np.array([0]), rng)
+
+    def test_roots_outside_graph_raise(self, diamond_graph, rng):
+        for roots in ([4], [-1], [0, 9]):
+            with pytest.raises(ValueError):
+                sample_rr_sets(diamond_graph, Dynamics.IC, np.array(roots), rng)
+
+    def test_no_roots_no_sets(self, diamond_graph, rng):
+        lengths, nodes, widths = sample_rr_sets(
+            diamond_graph, Dynamics.IC, np.array([], dtype=np.int64), rng
+        )
+        assert lengths.size == nodes.size == widths.size == 0
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    def test_repeated_roots_sample_independent_sets(self, dynamics, rng):
+        # Sets sharing a root share no state: with a 0.5 in-edge, the
+        # root's parent joins about half of 2000 same-root sets, not all
+        # or none of them.
+        g = DiGraph.from_edges(2, [(0, 1)], weights=[0.5])
+        lengths, nodes, __ = sample_rr_sets(g, dynamics, np.full(2000, 1), rng)
+        assert np.mean(lengths == 2) == pytest.approx(0.5, abs=0.05)
+        assert nodes.size == lengths.sum()
+
+    def test_nodes_sorted_within_each_set(self, diamond_graph, rng):
+        roots = np.repeat(np.arange(4), 50)
+        lengths, nodes, __ = sample_rr_sets(diamond_graph, Dynamics.IC, roots, rng)
+        ptr = np.concatenate(([0], np.cumsum(lengths)))
+        for i, root in enumerate(roots):
+            members = nodes[ptr[i] : ptr[i + 1]]
+            assert root in members
+            assert (np.diff(members) > 0).all()
 
 
 class TestUnbiasedness:
