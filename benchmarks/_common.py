@@ -9,7 +9,9 @@ Scaling knobs used throughout (documented here once):
 
 * ``MC_EVAL`` — simulations for the decoupled spread estimate (the paper
   uses 10K on C++; the Fig.-12 bench shows estimates at our graph sizes
-  stabilize well below that).
+  stabilize well below that).  Every estimate runs the batched cascade
+  kernel of ``monte_carlo_spread``; ``REPRO_BENCH_MC_WORKERS`` (below)
+  is its only execution knob.
 * ``RR_SCALE`` — multiplier on TIM+/IMM sample-size bounds.  The bounds
   assume native-code throughput; the multiplier preserves their ε-shape
   (θ ∝ 1/ε²) at pure-Python cost.
@@ -53,8 +55,6 @@ MEMORY_LIMIT_MB = 300.0
 #                             already-completed ones on rerun
 #   REPRO_BENCH_MC_WORKERS=n  parallel Monte-Carlo simulation of the
 #                             decoupled scoring estimate (evaluate_spread)
-#   REPRO_BENCH_MC_BATCH=b    cascades per vectorized multi-cascade kernel
-#                             call of the same estimate
 #   (A technique's engine knobs — rr_workers, mc_workers, spread_oracle,
 #   path_workers — are constructor parameters and are never copied in
 #   from these; bench_rr_engine.py and bench_path_engine.py read their own
@@ -88,7 +88,6 @@ BENCH_ISOLATE = os.environ.get("REPRO_BENCH_ISOLATE", "") == "1"
 BENCH_RETRIES = int(os.environ.get("REPRO_BENCH_RETRIES", "1") or "1")
 BENCH_RESUME = os.environ.get("REPRO_BENCH_RESUME", "") == "1"
 BENCH_MC_WORKERS = int(os.environ.get("REPRO_BENCH_MC_WORKERS", "0") or "0")
-BENCH_MC_BATCH = int(os.environ.get("REPRO_BENCH_MC_BATCH", "0") or "0")
 BENCH_TRACE = os.environ.get("REPRO_BENCH_TRACE", "") or None
 JOURNAL_DIR = RESULTS_DIR / "journals"
 
@@ -139,13 +138,11 @@ def evaluate_spread(
     r: int = MC_EVAL,
     seed: int = 99,
     workers: int | None = None,
-    batch: int | None = None,
 ):
     """Decoupled σ(S) estimate (the Sec.-5.1 uniform comparison point)."""
     return monte_carlo_spread(
         graph, seeds, model, r=r, rng=np.random.default_rng(seed),
         workers=workers or (BENCH_MC_WORKERS if BENCH_MC_WORKERS > 1 else None),
-        batch=batch or (BENCH_MC_BATCH if BENCH_MC_BATCH > 1 else None),
     )
 
 

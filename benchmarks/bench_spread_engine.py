@@ -1,18 +1,20 @@
 """Spread-oracle engine — CELF σ-evaluation throughput across backends.
 
-Not a paper figure: this bench validates the batched spread-oracle layer
-the MC greedy family (GREEDY/CELF/CELF++) now runs on.  It runs the same
-CELF workload (k seeds on a power-law WC analogue) against each backend
-and measures σ-evaluation throughput:
+Not a paper figure: this bench validates the spread-oracle layer the MC
+greedy family (GREEDY/CELF/CELF++) runs on.  It runs the same CELF
+workload (k seeds on a power-law WC analogue) against each backend and
+measures σ-evaluation throughput:
 
-* ``serial``   — the legacy per-cascade Monte-Carlo loop (baseline),
-* ``batched``  — vectorized multi-cascade MC kernels,
+* ``loop``     — the ``serial`` backend on the legacy per-cascade
+                 Monte-Carlo loop (``tests/reference/mc.py``): the baseline,
+* ``serial``   — fresh MC per query on the batched cascade kernel,
+* ``batched``  — the same kernel on content-derived RNG streams (memoized),
 * ``snapshot`` — presampled live-edge worlds with covered-mask reuse,
 * ``sketch``   — snapshot + bottom-k gain bounds seeding the lazy queue.
 
 Each backend's seeds are re-scored with the decoupled MC estimate so the
 throughput numbers come with a quality column (the backends answer the
-same query stream; serial/batched differ only in sampling noise, the
+same query stream; the MC backends differ only in sampling noise, the
 world-reuse backends trade per-iteration noise for a fixed world sample).
 
 Knobs:
@@ -21,7 +23,7 @@ Knobs:
                                 (default 100; CI smoke shrinks it)
 * ``REPRO_BENCH_SPREAD_NODES``  graph size (default 500)
 
-The >= 10x throughput speedup (best accelerated backend vs the serial
+The >= 10x throughput speedup (best other backend vs the per-cascade
 loop) is asserted only at full scale; at smoke scale constant overheads
 dominate and only the plumbing is exercised.
 """
@@ -36,20 +38,22 @@ from repro.diffusion.models import WC
 from repro.graph.generators import build, powerlaw_configuration
 
 from _common import emit, evaluate_spread, once
+from tests.reference.mc import LoopMCOracle
 
 SIMS = int(os.environ.get("REPRO_BENCH_SPREAD_SIMS", "100") or "100")
 N_NODES = int(os.environ.get("REPRO_BENCH_SPREAD_NODES", "500") or "500")
 K = 10
-MC_BATCH = 64
+SEED = 5
 SPEEDUP_FLOOR = 10.0
 FULL_SCALE = (100, 500)  # (SIMS, N_NODES) at which the floor is asserted
 
-BACKENDS = [
-    ("serial", {"spread_oracle": "serial"}),
-    ("batched", {"spread_oracle": "batched", "mc_batch": MC_BATCH}),
-    ("snapshot", {"spread_oracle": "snapshot"}),
-    ("sketch", {"spread_oracle": "sketch"}),
-]
+BACKENDS = ("loop", "serial", "batched", "snapshot", "sketch")
+
+
+def _spread_oracle(name, graph):
+    if name == "loop":  # the baseline: an oracle instance on the legacy loop
+        return LoopMCOracle(graph, WC, SIMS, np.random.default_rng(SEED))
+    return name
 
 
 def _graph():
@@ -69,10 +73,12 @@ def _run():
     ]
     base_throughput = None
     best_speedup = 0.0
-    for name, params in BACKENDS:
-        algo = registry.make("CELF", mc_simulations=SIMS, **params)
+    for name in BACKENDS:
+        algo = registry.make(
+            "CELF", mc_simulations=SIMS, spread_oracle=_spread_oracle(name, graph)
+        )
         start = time.perf_counter()
-        result = algo.select(graph, K, WC, rng=np.random.default_rng(5))
+        result = algo.select(graph, K, WC, rng=np.random.default_rng(SEED))
         elapsed = time.perf_counter() - start
         evals = result.extras["sigma_evaluations"]
         throughput = evals / elapsed if elapsed > 0 else float("inf")
@@ -96,6 +102,6 @@ def test_spread_engine(benchmark):
     emit("spread_engine", "\n".join(lines))
     if (SIMS, N_NODES) >= FULL_SCALE:
         assert best_speedup >= SPEEDUP_FLOOR, (
-            f"best accelerated backend only x{best_speedup:.2f} over the "
-            f"serial per-cascade loop (floor x{SPEEDUP_FLOOR})"
+            f"best backend only x{best_speedup:.2f} over the per-cascade "
+            f"loop (floor x{SPEEDUP_FLOOR})"
         )

@@ -180,26 +180,22 @@ class SpreadOracleMixin:
 
     GREEDY/CELF/CELF++ all answer the same question — which σ(S) backend
     services their marginal-gain queries — so the knobs live here once.
-    ``spread_oracle=None`` with no batching knobs keeps the historical
-    per-cascade path, byte-identical for seeded runs.
+    ``spread_oracle=None`` picks the serial backend, or the batched one
+    when ``mc_workers > 1``.
     """
 
     def _init_oracle(
         self,
         mc_simulations: int,
         spread_oracle,
-        mc_batch: int | None,
         mc_workers: int | None,
     ) -> None:
         if mc_simulations < 1:
             raise ValueError("mc_simulations must be positive")
-        if mc_batch is not None and mc_batch < 1:
-            raise ValueError("mc_batch must be positive")
         if mc_workers is not None and mc_workers < 1:
             raise ValueError("mc_workers must be positive")
         self.mc_simulations = mc_simulations
         self.spread_oracle = spread_oracle
-        self.mc_batch = mc_batch
         self.mc_workers = mc_workers
 
     def _build_oracle(self, graph, model, rng, budget):
@@ -212,7 +208,6 @@ class SpreadOracleMixin:
             model,
             rng,
             mc_simulations=self.mc_simulations,
-            mc_batch=self.mc_batch,
             mc_workers=self.mc_workers,
             budget=budget,
         )

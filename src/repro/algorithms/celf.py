@@ -19,8 +19,9 @@ Gain queries go through a pluggable spread oracle plus a marginal-gain
 memo (:mod:`repro.diffusion.oracle`).  With a deterministic backend the
 memo turns repeated (seed set, node) queries — including CELF++-style
 look-ahead gains resurfacing later — into cache hits, so ``lookups``
-counts true evaluations.  ``spread_oracle=None`` preserves the historical
-per-cascade draw order byte for byte.  The ``sketch`` backend lets CELF
+counts true evaluations.  ``spread_oracle=None`` runs one fresh
+Monte-Carlo estimate per gain on the caller's RNG (the ``serial``
+backend).  The ``sketch`` backend lets CELF
 seed its queue from reach upper bounds instead of an n-node evaluation
 scan (the first pop of each bound entry triggers the real evaluation).
 
@@ -105,10 +106,9 @@ class CELF(SpreadOracleMixin, IMAlgorithm):
         self,
         mc_simulations: int = DEFAULT_MC_SIMULATIONS,
         spread_oracle: str | None = None,
-        mc_batch: int | None = None,
         mc_workers: int | None = None,
     ) -> None:
-        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
+        self._init_oracle(mc_simulations, spread_oracle, mc_workers)
 
     def _select(
         self,
@@ -164,10 +164,9 @@ class CELFpp(SpreadOracleMixin, IMAlgorithm):
         self,
         mc_simulations: int = DEFAULT_MC_SIMULATIONS,
         spread_oracle: str | None = None,
-        mc_batch: int | None = None,
         mc_workers: int | None = None,
     ) -> None:
-        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
+        self._init_oracle(mc_simulations, spread_oracle, mc_workers)
 
     def _select(
         self,

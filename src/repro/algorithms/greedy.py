@@ -6,8 +6,8 @@ is non-scalable: every iteration re-estimates the spread of every node
 (the paper benchmarks CELF/CELF++ instead for exactly this reason).
 
 Gains are served by a pluggable :class:`~repro.diffusion.oracle.SpreadOracle`
-(``spread_oracle=None`` keeps the historical per-cascade Monte Carlo,
-byte-identical under a fixed seed).  With the ``sketch`` backend, nodes
+(``spread_oracle=None`` runs one fresh Monte-Carlo estimate per gain on
+the caller's RNG).  With the ``sketch`` backend, nodes
 whose reach upper bound cannot beat the iteration's running best are
 skipped without evaluation.
 """
@@ -45,10 +45,9 @@ class Greedy(SpreadOracleMixin, IMAlgorithm):
         self,
         mc_simulations: int = DEFAULT_MC_SIMULATIONS,
         spread_oracle: str | None = None,
-        mc_batch: int | None = None,
         mc_workers: int | None = None,
     ) -> None:
-        self._init_oracle(mc_simulations, spread_oracle, mc_batch, mc_workers)
+        self._init_oracle(mc_simulations, spread_oracle, mc_workers)
 
     def _select(
         self,

@@ -113,7 +113,7 @@ class IMM(IMAlgorithm):
             theta_i = self._cap(lambda_prime / x)
             self._extend(pool, graph, model.dynamics, theta_i, rng, budget)
             seeds_i, coverage_i = greedy_max_cover(
-                pool, k, pad_priority=graph.out_degree()
+                pool, k, pad_priority=graph.out_degree(), budget=budget
             )
             if n * coverage_i >= (1.0 + eps_prime) * x:
                 lower_bound = n * coverage_i / (1.0 + eps_prime)
@@ -121,7 +121,9 @@ class IMM(IMAlgorithm):
 
         theta = self._cap(lambda_star / lower_bound)
         self._extend(pool, graph, model.dynamics, theta, rng, budget)
-        seeds, coverage = greedy_max_cover(pool, k, pad_priority=graph.out_degree())
+        seeds, coverage = greedy_max_cover(
+            pool, k, pad_priority=graph.out_degree(), budget=budget
+        )
         return seeds, {
             "lower_bound": lower_bound,
             "sampling_phases": phases,

@@ -85,6 +85,8 @@ class IRIE(IMAlgorithm):
             # (symmetric graphs produce exactly equal ranks).
             v = int(np.where(in_seed, -np.inf, rank).argmax())
             seeds.append(v)
+            if len(seeds) == k:
+                break  # nothing reads AP after the last pick
             in_seed[v] = True
             ap[v] = 1.0
             # IE step: fold the new seed's reach into AP along max-prob

@@ -85,6 +85,8 @@ class LDAG(IMAlgorithm):
             masked = np.where(in_seed, -np.inf, inc_inf)
             s = int(masked.argmax())
             seeds.append(s)
+            if len(seeds) == k:
+                break  # nothing reads the sweeps after the last pick
             in_seed[s] = True
             dirty = store.dirty(s)
             new_gains = store.gains(dirty, in_seed)

@@ -90,6 +90,8 @@ class PMIA(IMAlgorithm):
             self._tick(budget)
             s = int(np.where(in_seed, -np.inf, inc_inf).argmax())
             seeds.append(s)
+            if len(seeds) == k:
+                break  # nothing reads the trees after the last pick
             in_seed[s] = True
             dirty = store.dirty(s)
             store.rebuild(dirty, in_seed, tick=tick)

@@ -96,7 +96,9 @@ class RIS(IMAlgorithm):
                 graph, model.dynamics, self.num_rr_sets, rng,
                 workers=self.rr_workers, budget=budget,
             )
-        seeds, coverage = greedy_max_cover(pool, k, pad_priority=graph.out_degree())
+        seeds, coverage = greedy_max_cover(
+            pool, k, pad_priority=graph.out_degree(), budget=budget
+        )
         return seeds, {
             "num_rr_sets": len(pool),
             "total_width": pool.total_width,

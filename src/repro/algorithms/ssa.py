@@ -121,7 +121,7 @@ class SSA(IMAlgorithm):
             selection = self._sample(graph, model.dynamics, pool_size, rng, budget)
             total_sampled += len(selection)
             seeds, coverage = greedy_max_cover(
-                selection, k, pad_priority=graph.out_degree()
+                selection, k, pad_priority=graph.out_degree(), budget=budget
             )
             optimistic = coverage * n
             verification = self._sample(
@@ -173,7 +173,7 @@ class DSSA(SSA):
             iterations += 1
             self._tick(budget)
             seeds, coverage = greedy_max_cover(
-                selection, k, pad_priority=graph.out_degree()
+                selection, k, pad_priority=graph.out_degree(), budget=budget
             )
             optimistic = coverage * n
             verification = self._sample(

@@ -122,7 +122,9 @@ class TIMPlus(IMAlgorithm):
         """Alg. 3 of the TIM paper: tighten KPT with an intermediate greedy."""
         n = graph.n
         log_n = math.log(max(n, 2))
-        seeds, __ = greedy_max_cover(pool, k, pad_priority=graph.out_degree())
+        seeds, __ = greedy_max_cover(
+            pool, k, pad_priority=graph.out_degree(), budget=budget
+        )
         eps_prime = 5.0 * (self.ell * self.epsilon**2 / (k + self.ell)) ** (1.0 / 3.0)
         theta_prime = self._cap(
             (2 + eps_prime) * self.ell * n * log_n / (eps_prime**2 * kpt)
@@ -160,7 +162,9 @@ class TIMPlus(IMAlgorithm):
         theta = self._cap(lam / kpt_plus)
         final = FlatRRPool(graph.n)
         self._extend(final, graph, model.dynamics, theta, rng, budget)
-        seeds, coverage = greedy_max_cover(final, k, pad_priority=graph.out_degree())
+        seeds, coverage = greedy_max_cover(
+            final, k, pad_priority=graph.out_degree(), budget=budget
+        )
         return seeds, {
             "kpt": kpt,
             "kpt_plus": kpt_plus,

@@ -91,10 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="technique constructor parameter, repeatable; "
                           "engine knobs go here too, e.g. rr_workers=3, "
                           "spread_oracle=snapshot or path_workers=2")
-    sel.add_argument("--mc", type=int, default=1000, help="simulations for sigma(S)")
-    sel.add_argument("--mc-batch", type=int, default=None, metavar="B",
-                     help="cascades per vectorized kernel call of the "
-                          "scoring estimate; selection is unaffected")
+    sel.add_argument("--mc", type=int, default=1000,
+                     help="cascades of the scoring estimate of sigma(S), "
+                          "grown in batches by one vectorized kernel")
     sel.add_argument("--mc-workers", type=int, default=None, metavar="N",
                      help="processes for the scoring estimate's Monte-Carlo "
                           "simulations; selection is unaffected")
@@ -231,7 +230,7 @@ def _cmd_select(args) -> int:
         estimate = diffusion.monte_carlo_spread(
             graph, record.seeds, model, r=args.mc,
             rng=np.random.default_rng(args.seed + 1),
-            workers=args.mc_workers, batch=args.mc_batch,
+            workers=args.mc_workers,
         )
     print(f"algorithm : {args.algorithm}")
     print(f"dataset   : {args.dataset} ({graph.n} nodes, {graph.m} arcs)")

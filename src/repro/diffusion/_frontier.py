@@ -1,22 +1,31 @@
-"""Vectorized CSR slice expansion, shared by every frontier-style walker.
+"""Vectorized CSR walks, shared by every frontier-style walker.
 
 One primitive underlies the cascade simulators, the live-edge snapshot
-reachability, the RR pool's set gathering, and the batched multi-cascade
-kernels: given CSR offsets and a set of row ids, produce the flat index
-array of every payload slot belonging to those rows in a single numpy
-expression (no per-row Python loop).
-
+reachability and the RR pool's set gathering: given CSR offsets and a set
+of row ids, produce the flat index array of every payload slot belonging
+to those rows in a single numpy expression (no per-row Python loop).
 ``expand_slices`` returns the *indices*; ``gather_csr`` additionally
 gathers the payload.  Both are int64-overflow-safe (the cumulative sum is
 forced to int64 even when the inputs arrive as int32) and short-circuit
 empty frontiers, so callers never pay array setup for a finished walk.
+
+``grow_levels`` is the level loop of the two batched samplers: it grows
+many independent breadth-first walks at once, keyed ``walk * n + node``.
+The RR sampler runs it on the in-CSR (one reverse-reachable set per
+walk) and the Monte-Carlo kernel on the out-CSR (one cascade per walk).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expand_slices", "gather_csr", "gather_edges"]
+__all__ = [
+    "capped_runs",
+    "expand_slices",
+    "gather_csr",
+    "gather_edges",
+    "grow_levels",
+]
 
 
 def expand_slices(ptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -49,3 +58,71 @@ def gather_csr(ptr: np.ndarray, data: np.ndarray, ids: np.ndarray) -> np.ndarray
 def gather_edges(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     """Indices (into the CSR edge arrays) of all edges leaving ``nodes``."""
     return expand_slices(ptr, nodes)
+
+
+def capped_runs(ends: np.ndarray, cap: int):
+    """Yield ``(lo, hi)`` runs of consecutive rows holding at most ``cap``
+    entries, given the rows' cumulative entry counts ``ends``; a row with
+    more forms its own run."""
+    lo = 0
+    while lo < ends.size:
+        floor = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, floor + cap, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def grow_levels(
+    ptr: np.ndarray,
+    nbr: np.ndarray,
+    n: int,
+    visited: np.ndarray,
+    frontier: np.ndarray,
+    live,
+    slice_edges: int,
+    budget=None,
+) -> np.ndarray:
+    """Breadth-first growth of many walks at once, one level per pass.
+
+    Each key ``walk * n + node`` of ``frontier`` is a start member of its
+    walk.  A level examines the CSR edges (``ptr``/``nbr``) of every
+    frontier key exactly once, in slices of at most ``slice_edges`` edges
+    (a node with more forms its own slice), which bounds the transient
+    arrays and the work between two ``budget.check()`` calls.
+    ``live(edge, row, frontier)`` returns which edges of a slice fire:
+    ``edge`` holds their CSR ids and ``row`` the frontier position each
+    leaves.  A fired edge keys its head into its tail's walk; an
+    unvisited head joins the next level once, however many edges reach
+    it.  Marks members in ``visited`` and returns every member key,
+    level by level.
+    """
+    visited[frontier] = True
+    members = [frontier]
+    while frontier.size:
+        nodes = frontier % n
+        base = frontier - nodes  # key of each frontier entry's walk
+        starts = ptr[nodes]
+        counts = ptr[nodes + 1] - starts
+        ends = np.cumsum(counts, dtype=np.int64)
+        offset = starts - ends + counts  # edge id minus level position
+        found = []
+        for lo, hi in capped_runs(ends, slice_edges):
+            if budget is not None:
+                budget.check()
+            floor = int(ends[lo - 1]) if lo else 0
+            total = int(ends[hi - 1]) - floor
+            if total:
+                row = np.repeat(np.arange(lo, hi), counts[lo:hi])
+                edge = np.arange(floor, floor + total) + offset[row]
+                fired = live(edge, row, frontier)
+                keys = base[row[fired]] + nbr[edge[fired]]
+                keys = keys[~visited[keys]]
+                if keys.size > 1:  # a node hit twice in one walk joins once
+                    keys.sort()
+                    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+                    keys = keys[first]
+                visited[keys] = True
+                found.append(keys)
+        frontier = np.concatenate(found) if found else frontier[:0]
+        members.append(frontier)
+    return np.concatenate(members)

@@ -7,14 +7,14 @@ occasional σ evaluations of arbitrary sets.  A :class:`SpreadOracle`
 answers that stream; four backends trade accuracy structure for speed:
 
 ``serial``
-    One fresh Monte-Carlo cascade at a time on the caller's RNG — the
-    historical behaviour, kept byte-identical so seeded runs and golden
-    tests are unaffected when no oracle is requested.
+    Fresh Monte Carlo per query on the caller's RNG (one
+    ``monte_carlo_spread`` call per query), so every query draws new
+    noise from the one shared stream.
 ``batched``
-    Fresh Monte Carlo through the vectorized multi-cascade kernels
-    (:mod:`repro.diffusion.batched`), with the per-query RNG *derived from
-    the query content*, so a repeated query returns the identical estimate
-    and memoization is transparent.
+    Fresh Monte Carlo with the per-query RNG *derived from the query
+    content*, so a repeated query returns the identical estimate and
+    memoization is transparent; ``mc_workers`` fans each query out over
+    the process pool.
 ``snapshot``
     The coin-flip technique of Sec. 4.3 generalized: presample R live-edge
     worlds once (the sampler PMC also uses, in
@@ -66,8 +66,6 @@ __all__ = [
 
 #: CLI / constructor spelling of each backend.
 ORACLE_BACKENDS = ("serial", "batched", "snapshot", "sketch")
-
-DEFAULT_MC_BATCH = 64
 
 #: Bottom-k sketch size of the sketch backend's reach estimates.
 SKETCH_K = 8
@@ -239,13 +237,11 @@ class SpreadOracle(abc.ABC):
 
 
 class SequentialMCOracle(SpreadOracle):
-    """The historical per-cascade path: fresh MC on the caller's RNG.
+    """Fresh MC on the caller's RNG: one ``monte_carlo_spread`` per query.
 
-    Draw order is identical to the pre-oracle algorithms (one
-    ``monte_carlo_spread`` call per gain, on the shared generator), so a
-    seeded run through this backend reproduces the legacy seed sets byte
-    for byte.  Not deterministic per query — the stream advances — hence
-    never memoized.
+    Seeded runs are reproducible, but every query advances the shared
+    stream, so the backend is not deterministic per query and is never
+    memoized.
     """
 
     name = "serial"
@@ -278,14 +274,13 @@ class SequentialMCOracle(SpreadOracle):
 
 
 class BatchedMCOracle(SpreadOracle):
-    """Vectorized multi-cascade MC with content-derived RNG streams.
+    """Monte Carlo with content-derived RNG streams.
 
     The generator for a query is spawned from ``(entropy, seed-set key)``,
     so σ of a given set is a pure function of the oracle's construction
     seed — repeated queries agree exactly, committed-set baselines are
     cached, and the memo cache is transparent.  ``workers > 1`` reuses
-    the ``SeedSequence``-spawned process pool of ``monte_carlo_spread``
-    for cross-batch parallelism.
+    the ``SeedSequence``-spawned process pool of ``monte_carlo_spread``.
     """
 
     name = "batched"
@@ -297,14 +292,12 @@ class BatchedMCOracle(SpreadOracle):
         model: PropagationModel | Dynamics,
         r: int,
         rng: np.random.Generator,
-        batch: int = DEFAULT_MC_BATCH,
         workers: int | None = None,
     ) -> None:
         super().__init__()
         self.graph = graph
         self.model = model
         self.r = int(r)
-        self.batch = max(1, int(batch))
         self.workers = workers
         self._entropy = int(rng.integers(0, 2**63 - 1))
         self._sigma_cache = BoundedMemo(
@@ -326,7 +319,6 @@ class BatchedMCOracle(SpreadOracle):
             self.model,
             r=self.r,
             rng=query_rng,
-            batch=self.batch,
             workers=self.workers,
         ).mean
         self._tick_evaluation()
@@ -348,8 +340,7 @@ class SnapshotOracle(SpreadOracle):
 
     All worlds advance together: per BFS level the out-edges of the union
     frontier are gathered once and masked per world by the ``R×m`` live
-    matrix — the same batching trick as the multi-cascade MC kernels, with
-    coin flips replaced by the presampled worlds.  The committed seed
+    matrix, coin flips replaced by the presampled worlds.  The committed seed
     set's per-world reachability (``covered``) persists, so marginal-gain
     BFS stops at covered nodes (anything beyond them is already covered)
     and iterations get progressively cheaper — the StaticGreedy/PMC
@@ -689,35 +680,26 @@ def make_oracle(
     rng: np.random.Generator,
     *,
     mc_simulations: int,
-    mc_batch: int | None = None,
     mc_workers: int | None = None,
     budget=None,
 ) -> SpreadOracle:
     """Resolve a backend spec (CLI string, instance, or None) to an oracle.
 
-    ``None`` keeps the byte-identical legacy path unless a batched/worker
-    knob was set, in which case the content-keyed batched backend is the
-    natural owner of those knobs.  The snapshot and sketch backends
+    ``None`` picks the serial backend, or the content-keyed batched
+    backend when ``mc_workers > 1``, since that backend owns the worker
+    knob.  The snapshot and sketch backends
     presample ``mc_simulations`` worlds, so snapshot noise is comparable
     to the MC noise the algorithm was configured for.
     """
     if isinstance(spec, SpreadOracle):
         return spec
     if spec is None:
-        wants_batched = (mc_batch or 0) > 1 or (mc_workers or 0) > 1
-        spec = "batched" if wants_batched else "serial"
+        spec = "batched" if (mc_workers or 0) > 1 else "serial"
     name = str(spec).lower()
     if name in ("serial", "sequential"):
         return SequentialMCOracle(graph, model, mc_simulations, rng)
     if name in ("batched", "mc"):
-        return BatchedMCOracle(
-            graph,
-            model,
-            mc_simulations,
-            rng,
-            batch=mc_batch or DEFAULT_MC_BATCH,
-            workers=mc_workers,
-        )
+        return BatchedMCOracle(graph, model, mc_simulations, rng, workers=mc_workers)
     if name == "snapshot":
         return SnapshotOracle(graph, model, mc_simulations, rng, budget=budget)
     if name == "sketch":

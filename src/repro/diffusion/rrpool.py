@@ -9,7 +9,7 @@ compressed-sparse-row pairs instead of Python lists:
   of RR set ``i`` are ``set_nodes[set_ptr[i]:set_ptr[i + 1]]``.
 * node view — ``node_ptr`` (``n + 1``) / ``node_sets``: the ids of the
   sets containing node ``v`` are ``node_sets[node_ptr[v]:node_ptr[v+1]]``
-  (built lazily by one stable argsort, invalidated on append).
+  (built lazily by a chunked counting sort, invalidated on append).
 
 All four arrays are int64, so the pool's true memory footprint is just
 :attr:`FlatRRPool.nbytes` — the quantity the Table-6 memory benchmark
@@ -22,7 +22,9 @@ numpy calls per IC BFS level or LT walk step instead of several Python
 calls per node.  IC levels are processed in slices of at most
 ``RR_SLICE_EDGES`` in-edges, which bounds the transient arrays on dense
 graphs (where one IC set holds most of the graph) and the work between
-two budget checks.  Both sizes are module constants, not options.
+two budget checks.  Both sizes are module constants, not options.  The
+IC level loop is :func:`repro.diffusion._frontier.grow_levels`, which
+the Monte-Carlo cascade kernel runs on the out-CSR.
 
 Sampling can fan out over a process pool (``workers > 1``) with worker
 streams spawned from one ``SeedSequence``, mirroring
@@ -50,10 +52,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ._frontier import gather_csr as _gather_csr
+from ._frontier import capped_runs, gather_csr as _gather_csr, grow_levels
 from .models import Dynamics
 
 __all__ = [
+    "INDEX_CHUNK_ENTRIES",
     "RR_BATCH_CELLS",
     "RR_SLICE_EDGES",
     "FlatRRPool",
@@ -80,6 +83,13 @@ RR_BATCH_CELLS = 2**20
 #: in-edges forms its own slice).  It bounds the slice's transient arrays
 #: and the work between two budget checks.
 RR_SLICE_EDGES = 2**16
+
+
+#: Pool entries one chunk of the inverted-index build sorts, or one
+#: max-cover gather reads (in whole sets; a longer set forms its own).
+#: It bounds their transient arrays to about 3 MiB, and the index
+#: build's work between two budget checks.
+INDEX_CHUNK_ENTRIES = 2**16
 
 
 def rr_batch_size(n: int) -> int:
@@ -143,47 +153,18 @@ def sample_rr_sets(
 def _grow_ic(graph, visited, frontier, rng, budget) -> np.ndarray:
     """Reverse BFS from every key of ``frontier`` at once, level by level.
 
-    Marks members in ``visited`` and returns every member key.
+    One coin per in-edge; marks members in ``visited`` and returns every
+    member key.
     """
-    n = graph.n
-    in_ptr, in_src, in_w = graph.in_ptr, graph.in_src, graph.in_w
-    visited[frontier] = True
-    members = [frontier]
-    while frontier.size:
-        nodes = frontier % n
-        base = frontier - nodes  # key of each frontier entry's set
-        starts = in_ptr[nodes]
-        counts = in_ptr[nodes + 1] - starts
-        ends = np.cumsum(counts, dtype=np.int64)
-        offset = starts - ends + counts  # edge id minus level position
-        found = []
-        lo = 0
-        while lo < frontier.size:
-            if budget is not None:
-                budget.check()
-            floor = int(ends[lo - 1]) if lo else 0
-            cap = floor + RR_SLICE_EDGES
-            hi = max(int(np.searchsorted(ends, cap, side="right")), lo + 1)
-            total = int(ends[hi - 1]) - floor
-            if total:
-                # One coin per in-edge of the slice; ``row`` is each edge's
-                # frontier position, so a live edge keys its source into
-                # the edge's own set.
-                row = np.repeat(np.arange(lo, hi), counts[lo:hi])
-                edge = np.arange(floor, floor + total) + offset[row]
-                live = rng.random(total) < in_w[edge]
-                keys = base[row[live]] + in_src[edge[live]]
-                keys = keys[~visited[keys]]
-                if keys.size > 1:  # a node hit twice in one set joins once
-                    keys.sort()
-                    first = np.concatenate(([True], keys[1:] != keys[:-1]))
-                    keys = keys[first]
-                visited[keys] = True
-                found.append(keys)
-            lo = hi
-        frontier = np.concatenate(found) if found else frontier[:0]
-        members.append(frontier)
-    return np.concatenate(members)
+    in_w = graph.in_w
+
+    def live(edge, row, frontier):
+        return rng.random(edge.size) < in_w[edge]
+
+    return grow_levels(
+        graph.in_ptr, graph.in_src, graph.n, visited, frontier, live,
+        RR_SLICE_EDGES, budget,
+    )
 
 
 def _grow_lt(graph, visited, walkers, rng, budget) -> np.ndarray:
@@ -277,13 +258,13 @@ class FlatRRPool:
         self, lengths: np.ndarray, flat: np.ndarray, widths: np.ndarray
     ) -> None:
         """Append a whole sampled chunk: ``(lengths, flat_nodes, widths)``."""
+        self._node_ptr = self._node_sets = None  # stale: free it first
         self._ptr = np.concatenate(
             [self._ptr, self._ptr[-1] + np.cumsum(lengths, dtype=np.int64)]
         )
         self._nodes = np.concatenate([self._nodes, flat])
         self._widths = np.concatenate([self._widths, widths])
         self.total_width += int(widths.sum())
-        self._node_ptr = self._node_sets = None
 
     def absorb(self, other: "FlatRRPool") -> None:
         """Append every set of ``other`` (D-SSA's pool recycling)."""
@@ -383,23 +364,53 @@ class FlatRRPool:
 
     @property
     def node_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inverted ``(node_ptr, node_sets)`` CSR, built lazily.
+        """Inverted ``(node_ptr, node_sets)`` CSR, built lazily."""
+        return self.inverted_index()
 
-        Within a node's slice, set ids appear in insertion order (the
-        argsort is stable), matching the legacy ``member_of`` lists.
+    def inverted_index(self, budget=None) -> tuple[np.ndarray, np.ndarray]:
+        """Inverted ``(node_ptr, node_sets)`` CSR, built on first use.
+
+        A counting sort: ``node_ptr`` comes from one ``bincount``, then
+        set-aligned chunks of about ``INDEX_CHUNK_ENTRIES`` entries are
+        sorted by node and their set ids scattered at a per-node cursor,
+        so the build holds no pool-sized transient.  Within a node's
+        slice, set ids appear in insertion order, matching the legacy
+        ``member_of`` lists.  ``budget.check()`` runs once per chunk.
         """
         if self._node_ptr is None:
             with _tele().span("rrpool.invert_index"):
-                set_ids = np.repeat(
-                    np.arange(len(self), dtype=np.int64), np.diff(self._ptr)
-                )
-                order = np.argsort(self._nodes, kind="stable")
-                self._node_sets = set_ids[order]
-                counts = np.bincount(self._nodes, minlength=self.n)
-                node_ptr = np.zeros(self.n + 1, dtype=np.int64)
-                np.cumsum(counts, out=node_ptr[1:])
-                self._node_ptr = node_ptr
+                self._node_ptr, self._node_sets = self._count_sort(budget)
         return self._node_ptr, self._node_sets
+
+    def _count_sort(self, budget) -> tuple[np.ndarray, np.ndarray]:
+        ptr, nodes = self._ptr, self._nodes
+        node_ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(nodes, minlength=self.n), out=node_ptr[1:])
+        node_sets = np.empty(nodes.size, dtype=np.int64)
+        cursor = node_ptr[:-1].copy()
+        narrow = self.n <= 2**16
+        for first, stop in capped_runs(ptr[1:], INDEX_CHUNK_ENTRIES):
+            if budget is not None:
+                budget.check()
+            chunk = nodes[ptr[first] : ptr[stop]]
+            # A stable argsort of 16-bit keys runs as a radix sort.
+            keys = chunk.astype(np.uint16) if narrow else chunk
+            order = np.argsort(keys, kind="stable")
+            ranked = chunk[order]
+            # Runs of equal nodes in sorted order; a run's entries take
+            # consecutive slots from its node's cursor, in set order.
+            change = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+            runs = np.flatnonzero(change)
+            run_len = np.diff(np.append(runs, ranked.size))
+            heads = ranked[runs]
+            slot = np.repeat(cursor[heads] - runs, run_len)
+            slot += np.arange(ranked.size)
+            set_ids = np.repeat(
+                np.arange(first, stop, dtype=np.int64), np.diff(ptr[first : stop + 1])
+            )
+            node_sets[slot] = set_ids[order]
+            cursor[heads] += run_len
+        return node_ptr, node_sets
 
     def nodes_of(self, i: int) -> np.ndarray:
         """Node array of RR set ``i``."""
@@ -487,6 +498,7 @@ def greedy_max_cover(
     pool: FlatRRPool,
     k: int,
     pad_priority: np.ndarray | None = None,
+    budget=None,
 ) -> tuple[list[int], float]:
     """Greedy maximum coverage of the RR pool (Sec. 4.2 seed selection).
 
@@ -500,6 +512,8 @@ def greedy_max_cover(
     should be the graph's out-degree array (what the reference codes pad
     by); when omitted, the pool's own membership counts — the best degree
     proxy the pool can compute without the graph — are used.
+    ``budget.check()`` runs once per round (and per inverted-index chunk
+    when the index is built here).
     """
     num_sets = len(pool)
     if num_sets == 0 or k <= 0:
@@ -507,11 +521,17 @@ def greedy_max_cover(
     with _tele().span("rrpool.max_cover"):
         n = pool.n
         set_ptr, set_nodes = pool.set_ptr, pool.set_nodes
-        node_ptr, node_sets = pool.node_index
+        node_ptr, node_sets = pool.inverted_index(budget)
         count = np.bincount(set_nodes, minlength=n).astype(np.int64)
+        # Members of newly covered sets are gathered at most about
+        # INDEX_CHUNK_ENTRIES at a time: a seed covering most of the pool
+        # (an epidemic IC graph's first pick) holds no pool-sized
+        # transient.
         covered = np.zeros(num_sets, dtype=bool)
         seeds: list[int] = []
         for __ in range(min(k, n)):
+            if budget is not None:
+                budget.check()
             v = int(count.argmax())
             if count[v] <= 0:
                 priority = (
@@ -525,7 +545,8 @@ def greedy_max_cover(
             ids = node_sets[node_ptr[v] : node_ptr[v + 1]]
             newly = ids[~covered[ids]]
             covered[newly] = True
-            members = _gather_csr(set_ptr, set_nodes, newly)
-            if members.size:
+            ends = np.cumsum(set_ptr[newly + 1] - set_ptr[newly])
+            for lo, hi in capped_runs(ends, INDEX_CHUNK_ENTRIES):
+                members = _gather_csr(set_ptr, set_nodes, newly[lo:hi])
                 count -= np.bincount(members, minlength=n)
     return seeds[:k], float(covered.mean())

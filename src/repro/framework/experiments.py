@@ -58,12 +58,10 @@ class SweepConfig:
     #: Attempts per cell for transient FAILED/KILLED statuses; a retry
     #: replays the cell on the same randomness.
     retries: int = 1
-    #: Execution shape of the decoupled MC scoring pass: fan simulations
-    #: over a process pool and/or run them through the batched kernels.
-    #: Scoring only — a technique's own engine knobs (``rr_workers``,
-    #: ``path_workers``, ...) go in its roster parameters.
+    #: Processes for the decoupled MC scoring pass.  Scoring only — a
+    #: technique's own engine knobs (``rr_workers``, ``path_workers``,
+    #: ...) go in its roster parameters.
     mc_workers: int | None = None
-    mc_batch: int | None = None
     #: Collect per-phase spans and engine counters into each cell's
     #: ``extras["telemetry"]`` (see :mod:`repro.framework.telemetry`).
     #: Off by default — the no-op path leaves results byte-identical.
@@ -75,7 +73,7 @@ def _score(graph, record: RunRecord, model, config: SweepConfig) -> None:
         estimate = monte_carlo_spread(
             graph, record.seeds, model, r=config.mc_simulations,
             rng=np.random.default_rng(config.seed + 1),
-            workers=config.mc_workers, batch=config.mc_batch,
+            workers=config.mc_workers,
         )
         record.spread = estimate.mean
         record.spread_std = estimate.std

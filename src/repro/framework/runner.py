@@ -112,11 +112,10 @@ class IMFramework:
         Optional :class:`CheckpointJournal` (or a path) — completed cells
         are appended and a rerun skips them.  ``journal_scope`` (e.g. a
         dataset name) widens the cell keys when one journal spans sweeps.
-    mc_workers / mc_batch:
-        Execution shape of the decoupled spread estimate (Sec. 5.1's
-        10K-simulation protocol): fan the simulations over a process pool
-        and/or run them through the batched multi-cascade kernels.  They
-        shape the scoring pass only; a technique's own engine knobs
+    mc_workers:
+        Processes for the decoupled spread estimate (Sec. 5.1's
+        10K-simulation protocol).  It shapes the scoring pass only; a
+        technique's own engine knobs
         (``rr_workers``, ``mc_workers``, ``spread_oracle``,
         ``path_workers``, ...) are constructor parameters and travel in
         the spectrum's parameter dicts, so they are part of each journal
@@ -146,7 +145,6 @@ class IMFramework:
         journal: CheckpointJournal | str | os.PathLike | None = None,
         journal_scope: str | None = None,
         mc_workers: int | None = None,
-        mc_batch: int | None = None,
         telemetry: "_telemetry.Telemetry | None" = None,
     ) -> None:
         self.graph = graph
@@ -166,7 +164,6 @@ class IMFramework:
         self.journal = journal
         self.journal_scope = journal_scope
         self.mc_workers = mc_workers
-        self.mc_batch = mc_batch
         self.telemetry = telemetry
 
     # ------------------------------------------------------------------
@@ -220,7 +217,7 @@ class IMFramework:
             with activation as tele, tele.span("score"):
                 estimate = monte_carlo_spread(
                     self.graph, record.seeds, self.model, r=self.mc_simulations,
-                    rng=mc_rng, workers=self.mc_workers, batch=self.mc_batch,
+                    rng=mc_rng, workers=self.mc_workers,
                 )
             record.spread = estimate.mean
             record.spread_std = estimate.std

@@ -40,6 +40,7 @@ class DiGraph:
         "in_src",
         "in_w",
         "_in_perm",
+        "_in_w_before",
     )
 
     def __init__(
@@ -64,6 +65,7 @@ class DiGraph:
         # Permutation mapping out-CSR edge order -> in-CSR edge order, kept
         # so weight schemes can rebuild the in view without re-sorting.
         self._in_perm = in_perm
+        self._in_w_before: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -185,6 +187,22 @@ class DiGraph:
         """``(sources, weights)`` of edges entering ``v`` — In(v)."""
         lo, hi = self.in_ptr[v], self.in_ptr[v + 1]
         return self.in_src[lo:hi], self.in_w[lo:hi]
+
+    @property
+    def in_w_before(self) -> np.ndarray:
+        """Per edge (out-CSR order), the summed weight of its head's
+        in-edges that precede it in in-CSR order.
+
+        Built on first use and kept with the graph, so per-call readers
+        (the LT cascade kernel) pay the O(m) set-up once per graph.
+        """
+        if self._in_w_before is None:
+            cum = np.concatenate(([0.0], np.cumsum(self.in_w)))
+            ahead = cum[:-1] - np.repeat(cum[self.in_ptr[:-1]], np.diff(self.in_ptr))
+            before = np.empty(self.m, dtype=np.float64)
+            before[self._in_perm] = ahead  # in-CSR order -> out-CSR order
+            self._in_w_before = before
+        return self._in_w_before
 
     def out_degree(self, u: int | None = None):
         if u is None:

@@ -2,11 +2,14 @@
 
 Each module keeps an original loop that an engine in ``src/`` replaced:
 the per-root dict/heap path-proxy techniques (PMIA, LDAG, IRIE), the
-list-walking RR max-cover and the per-set RR sampler.  They run only in
-the equivalence tests and the speedup benches.  The engines reproduce
-the first two byte for byte; the batched RR sampler draws its coins in
-another order, so ``random_rr_set`` is a distributional reference,
-compared by KS and chi-squared tests instead of equality.
+list-walking RR max-cover, the argsort inverted-index build, the per-set
+RR sampler and the per-cascade Monte-Carlo loop (with the threshold-form
+LT simulator).  They run only in the equivalence tests and the speedup
+benches.  The engines reproduce the first three byte for byte; the
+batched RR sampler and the batched cascade kernel draw their coins in
+another order, so ``random_rr_set`` and ``simulate_spread`` are
+distributional references, compared by KS, chi-squared and exact-spread
+tests instead of equality.
 """
 
 from .paths import (
@@ -17,16 +20,27 @@ from .paths import (
     build_miia,
     max_probability_paths,
 )
-from .rr import RRCollection, greedy_max_cover_legacy, random_rr_set
+from .mc import LoopMCOracle, simulate_lt, simulate_spread, spread_samples
+from .rr import (
+    RRCollection,
+    argsort_node_index,
+    greedy_max_cover_legacy,
+    random_rr_set,
+)
 
 __all__ = [
     "LegacyIRIE",
     "LegacyLDAG",
     "LegacyPMIA",
+    "LoopMCOracle",
     "RRCollection",
+    "argsort_node_index",
     "build_ldag",
     "build_miia",
     "greedy_max_cover_legacy",
     "max_probability_paths",
     "random_rr_set",
+    "simulate_lt",
+    "simulate_spread",
+    "spread_samples",
 ]

@@ -10,6 +10,10 @@ that :func:`repro.diffusion.rrpool.sample_rr_sets` replaced.  The batched
 kernel consumes the RNG in another order, so the two agree only in
 distribution: ``tests/test_rr_statistical.py`` compares their set sizes,
 widths and per-node membership counts.
+
+:func:`argsort_node_index` is the one-argsort inverted-index build that
+:meth:`repro.diffusion.rrpool.FlatRRPool.inverted_index` replaced with a
+chunked counting sort; the two must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -20,7 +24,12 @@ from repro.diffusion.models import Dynamics
 from repro.diffusion.rrpool import FlatRRPool, pad_seeds
 from repro.graph.digraph import DiGraph
 
-__all__ = ["RRCollection", "greedy_max_cover_legacy", "random_rr_set"]
+__all__ = [
+    "RRCollection",
+    "argsort_node_index",
+    "greedy_max_cover_legacy",
+    "random_rr_set",
+]
 
 
 def random_rr_set(
@@ -81,6 +90,21 @@ def random_rr_set(
         return np.fromiter(visited, dtype=np.int64, count=len(visited)), width
 
     raise ValueError(f"unsupported dynamics {dynamics!r}")  # pragma: no cover
+
+
+def argsort_node_index(pool: FlatRRPool) -> tuple[np.ndarray, np.ndarray]:
+    """Inverted ``(node_ptr, node_sets)`` CSR by one stable argsort.
+
+    Holds a pool-sized repeated set-id array and the argsort's order
+    array on top of the index itself.
+    """
+    set_ids = np.repeat(np.arange(len(pool), dtype=np.int64), np.diff(pool.set_ptr))
+    order = np.argsort(pool.set_nodes, kind="stable")
+    node_sets = set_ids[order]
+    counts = np.bincount(pool.set_nodes, minlength=pool.n)
+    node_ptr = np.zeros(pool.n + 1, dtype=np.int64)
+    np.cumsum(counts, out=node_ptr[1:])
+    return node_ptr, node_sets
 
 
 class RRCollection(FlatRRPool):

@@ -1,14 +1,19 @@
-"""Tests for the IC and LT cascade simulators against exact oracles."""
+"""Tests for the IC and LT cascade simulators against exact oracles.
+
+The single-cascade LT simulator and ``simulate_spread`` are the
+per-cascade reference of ``tests/reference/mc.py``; the spread estimates
+run the batched kernel behind ``monte_carlo_spread``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.diffusion.independent_cascade import simulate_ic
-from repro.diffusion.linear_threshold import simulate_lt
 from repro.diffusion.models import Dynamics
-from repro.diffusion.simulation import monte_carlo_spread, simulate_spread
+from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
+from tests.reference.mc import simulate_lt, simulate_spread
 
 
 class TestICBasics:

@@ -128,6 +128,25 @@ class TestViews:
         with pytest.raises(ValueError):
             g.with_weights(np.array([0.1, 0.2]))
 
+    def test_in_w_before_sums_earlier_in_edges(self):
+        # Node 2's in-edges in in-CSR order: (0, 2), (1, 2), (3, 2).
+        edges = [(0, 1), (0, 2), (1, 2), (3, 2)]
+        g = DiGraph.from_edges(4, edges, weights=[0.5, 0.1, 0.2, 0.3])
+
+        def by_edge(graph):
+            return {(int(u), int(v)): float(b) for u, v, b in
+                    zip(graph.edge_src, graph.edge_dst, graph.in_w_before)}
+
+        assert by_edge(g) == pytest.approx(
+            {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.1, (3, 2): 0.3}
+        )
+        # A reweighted view builds its own starts, not the cached ones.
+        g2 = g.with_weights(np.array([0.5, 0.4, 0.4, 0.2]))
+        assert by_edge(g2) == pytest.approx(
+            {(0, 1): 0.0, (0, 2): 0.0, (1, 2): 0.4, (3, 2): 0.8}
+        )
+        assert by_edge(g)[(3, 2)] == pytest.approx(0.3)
+
     def test_with_weights_keeps_topology(self):
         g = DiGraph.from_edges(3, [(0, 1), (1, 2)])
         g2 = g.with_weights(np.array([0.9, 0.8]))

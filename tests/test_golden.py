@@ -96,11 +96,13 @@ def test_all_techniques_agree_on_first_seed(reference_graphs):
 #: order decides every tie between equal gains (the IC cells are full of
 #: them), so any change to the shared queue shows up here.  StaticGreedy's
 #: rows equal CELF's snapshot rows: it is CELF over the snapshot oracle.
+#: The three Monte-Carlo rows (``serial`` and ``batched`` backends) also
+#: pin the batched cascade kernel's draw order.
 LAZY_FORWARD_GOLDEN = [
     ("CELF", {"mc_simulations": 10}, "WC",
-     [5, 1, 8, 42, 10, 0, 22, 12, 39, 88], 51.3),
+     [2, 0, 22, 12, 59, 27, 92, 109, 5, 18], 53.9),
     ("CELF", {"mc_simulations": 10, "spread_oracle": "batched"}, "WC",
-     [0, 5, 9, 44, 22, 3, 2, 35, 71, 34], 55.2),
+     [0, 5, 24, 60, 59, 1, 86, 61, 33, 89], 49.6),
     ("CELF", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "IC",
      [1, 2, 22, 8, 9, 61, 23, 4, 63, 45], 24.45),
     ("CELF", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "WC",
@@ -108,7 +110,7 @@ LAZY_FORWARD_GOLDEN = [
     ("CELF", {"mc_simulations": 20, "spread_oracle": "sketch"}, "IC",
      [1, 2, 22, 8, 9, 61, 23, 4, 45, 63], 24.45),
     ("CELF++", {"mc_simulations": 10}, "WC",
-     [1, 2, 24, 22, 17, 90, 74, 5, 41, 73], 54.4),
+     [5, 1, 10, 115, 22, 87, 40, 31, 18, 93], 52.2),
     ("CELF++", {"mc_simulations": 20, "spread_oracle": "snapshot"}, "WC",
      [2, 1, 5, 22, 8, 4, 0, 18, 13, 24], 60.04999999999999),
     ("StaticGreedy", {"num_snapshots": 20}, "IC",

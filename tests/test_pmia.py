@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.pmia import PMIA
 from repro.diffusion.models import IC, LT
 from repro.diffusion.simulation import monte_carlo_spread
+from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread
 from tests.reference import LegacyPMIA, build_miia
@@ -136,3 +137,24 @@ class TestSelection:
     def test_extras(self, chain, rng):
         res = PMIA().select(chain, 1, IC, rng=rng)
         assert res.extras["avg_arborescence_size"] >= 1.0
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_no_rebuild_after_last_pick(self, k):
+        # Each pick but the last rebuilds the trees containing it; nothing
+        # reads a rebuild after the k-th pick, so k picks run k - 1 rounds.
+        trial = np.random.default_rng(5)
+        g = IC.weighted(DiGraph.from_arrays(
+            40, trial.integers(0, 40, 120), trial.integers(0, 40, 120)
+        ))
+        tele = Telemetry()
+        with activate(tele):
+            PMIA().select(g, k, IC, rng=np.random.default_rng(0))
+        assert _span_calls(tele.snapshot()["spans"], "paths.rebuild") == k - 1
+
+
+def _span_calls(spans: dict, name: str) -> int:
+    """Calls of span ``name`` anywhere in a snapshot's span tree."""
+    return sum(
+        (node["calls"] if key == name else 0) + _span_calls(node["children"], name)
+        for key, node in spans.items()
+    )

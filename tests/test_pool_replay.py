@@ -52,13 +52,12 @@ class TestChunkReplay:
         entropy=st.integers(min_value=0, max_value=2**63 - 1),
         spawn=st.integers(min_value=0, max_value=63),
         count=st.integers(min_value=1, max_value=40),
-        batch=st.sampled_from([1, 4]),
     )
     @settings(max_examples=25, deadline=None)
-    def test_mc_chunk_replays_identically(self, graph, entropy, spawn, count, batch):
+    def test_mc_chunk_replays_identically(self, graph, entropy, spawn, count):
         state = {"entropy": entropy, "spawn_key": (spawn,)}
-        first = _simulate_chunk(graph, [0, 1], Dynamics.IC, count, state, batch)
-        second = _simulate_chunk(graph, [0, 1], Dynamics.IC, count, dict(state), batch)
+        first = _simulate_chunk(graph, [0, 1], Dynamics.IC, count, state)
+        second = _simulate_chunk(graph, [0, 1], Dynamics.IC, count, dict(state))
         np.testing.assert_array_equal(first, second)
 
 

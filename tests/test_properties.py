@@ -5,13 +5,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.diffusion import rrpool
+from repro.diffusion import rrpool, simulation
 from repro.diffusion._frontier import gather_edges
 from repro.diffusion.models import Dynamics
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, sample_rr_sets
+from repro.diffusion.simulation import cascade_sizes
 from repro.graph import weights as weight_schemes
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
@@ -263,6 +264,82 @@ class TestRandomRRSetInvariants:
         for dynamics in (Dynamics.IC, Dynamics.LT):
             for __, nodes, width in rr_sets(g, dynamics, batch, seed):
                 assert width == int(in_degree[nodes].sum())
+
+
+@st.composite
+def reach_cases(draw):
+    """``(graph, dynamics, seeds)`` on a graph whose edge weights are 0 or 1.
+
+    Under LT each node keeps at most one weight-1 in-edge, so its
+    in-weights sum to at most 1.  Every cascade is then exactly the
+    seeds' reach over the weight-1 edges.  Edges are mostly weight 1 and
+    there are at least two seeds, so frontier nodes often share a head;
+    the seeds repeat one seed, or are empty one time in eight.
+    """
+    n = draw(st.integers(min_value=2, max_value=8))
+    node = st.integers(min_value=0, max_value=n - 1)
+    hop = st.integers(min_value=1, max_value=n - 1)
+    pairs = st.tuples(node, hop).map(lambda e: (e[0], (e[0] + e[1]) % n))
+    edges = draw(st.lists(pairs, min_size=n, max_size=3 * n))  # repeats collapse
+    sure = draw(st.lists(st.sampled_from([True, True, True, False]),
+                         min_size=len(edges), max_size=len(edges)))
+    dynamics = draw(st.sampled_from([Dynamics.IC, Dynamics.LT]))
+    if dynamics is Dynamics.LT:
+        heads = set()
+        for i, (__, v) in enumerate(edges):
+            sure[i] = sure[i] and v not in heads
+            if sure[i]:
+                heads.add(v)
+    graph = DiGraph.from_edges(n, edges, weights=[float(x) for x in sure])
+    seeds = draw(st.lists(node, min_size=2, max_size=4))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        seeds = []
+    return graph, dynamics, seeds + seeds[:1]
+
+
+class TestCascadeKernelReach:
+    """Each cascade of the batched kernel has the exact reach of S.
+
+    Half the draws run two-cascade batches of one-edge level slices, so a
+    frontier spans several slices and the cascades several batches.  The
+    pinned example reaches one node from two seeds in one slice.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        reach_cases(),
+        st.integers(min_value=1, max_value=5),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(
+        case=(
+            DiGraph.from_edges(3, [(0, 2), (1, 2)], weights=[1.0, 1.0]),
+            Dynamics.IC,
+            [0, 1, 0],
+        ),
+        count=2,
+        split=False,
+        seed=0,
+    )
+    def test_each_cascade_is_the_exact_reach(self, case, count, split, seed):
+        g, dynamics, seeds = case
+        reached, todo = set(seeds), list(seeds)
+        while todo:
+            for v, w in zip(*g.out_neighbors(todo.pop())):
+                if w == 1.0 and int(v) not in reached:
+                    reached.add(int(v))
+                    todo.append(int(v))
+        with ExitStack() as stack:
+            if split:
+                stack.enter_context(
+                    patch.object(simulation, "MC_BATCH_CELLS", 2 * g.n)
+                )
+                stack.enter_context(patch.object(simulation, "MC_SLICE_EDGES", 1))
+            sizes = cascade_sizes(
+                g, seeds, dynamics, count, np.random.default_rng(seed)
+            )
+        np.testing.assert_array_equal(sizes, np.full(count, float(len(reached))))
 
 
 class TestMaxCoverProperties:

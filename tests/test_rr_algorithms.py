@@ -58,9 +58,9 @@ class TestRIS:
         monkeypatch.setattr(rrpool, "RR_BATCH_CELLS", batch_cells)
         pools = []
 
-        def cover(pool, k, pad_priority=None):
+        def cover(pool, k, pad_priority=None, budget=None):
             pools.append(pool)
-            return greedy_max_cover(pool, k, pad_priority)
+            return greedy_max_cover(pool, k, pad_priority, budget)
 
         monkeypatch.setattr(ris_module, "greedy_max_cover", cover)
         budget = 50

@@ -8,11 +8,16 @@ import pytest
 from repro.algorithms.imm import IMM
 from repro.datasets import load
 from repro.diffusion.models import IC, Dynamics, WC
+from repro.diffusion import rrpool
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, pad_seeds
 from repro.framework import IsolationConfig, execute_cell
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
-from tests.reference import RRCollection, greedy_max_cover_legacy
+from tests.reference import (
+    RRCollection,
+    argsort_node_index,
+    greedy_max_cover_legacy,
+)
 
 
 def random_pool(n: int, num_sets: int, rng: np.random.Generator) -> FlatRRPool:
@@ -48,6 +53,35 @@ class TestFlatCSRLayout:
                 expected[int(v)].append(i)
         for v in range(pool.n):
             assert pool.sets_of(v).tolist() == expected[v]
+
+    @pytest.mark.parametrize("model", [IC, WC], ids=["IC", "WC"])
+    def test_node_index_matches_argsort_build(self, model, monkeypatch):
+        # Small chunks make the counting sort carry its per-node cursor
+        # across many chunks.
+        monkeypatch.setattr(rrpool, "INDEX_CHUNK_ENTRIES", 64)
+        gen = np.random.default_rng(3)
+        graph = model.weighted(
+            build(powerlaw_configuration(300, 2.3, 5.0, gen)), gen
+        )
+        pool = FlatRRPool(graph.n)
+        pool.extend(graph, Dynamics.IC, 400, np.random.default_rng(4))
+        for got, want in zip(pool.node_index, argsort_node_index(pool)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_node_index_matches_argsort_build_past_16_bit_ids(self, monkeypatch):
+        # Node ids past 2**16 take the plain int64 sort instead of the
+        # 16-bit radix sort.
+        monkeypatch.setattr(rrpool, "INDEX_CHUNK_ENTRIES", 64)
+        gen = np.random.default_rng(5)
+        lengths = gen.integers(1, 20, size=200)
+        nodes = np.concatenate(
+            [gen.choice(2**17, size=size, replace=False) for size in lengths]
+        )
+        pool = FlatRRPool(2**17)
+        pool.append_chunk(lengths, nodes, np.zeros(lengths.size, dtype=np.int64))
+        for got, want in zip(pool.node_index, argsort_node_index(pool)):
+            np.testing.assert_array_equal(got, want)
 
     def test_incremental_adds_append_whole_sets(self):
         pool = FlatRRPool(4)
@@ -159,6 +193,33 @@ class TestFlatCoverEquivalence:
         legacy = greedy_max_cover_legacy(pool, 10, pad_priority=degree)
         assert flat == legacy
 
+    @pytest.mark.parametrize("source", ["random-0", "random-1", "IC"])
+    def test_identical_when_picks_gather_in_many_chunks(self, source, monkeypatch):
+        # Sampled before the patch; 8-entry chunks then cut every pick
+        # that covers more than one or two sets into several gathers.
+        gen = np.random.default_rng(7)
+        if source == "IC":
+            graph = IC.weighted(build(powerlaw_configuration(150, 2.3, 5.0, gen)), gen)
+            pool = FlatRRPool(graph.n)
+            pool.extend(graph, Dynamics.IC, 500, gen)
+            degree = graph.out_degree()
+        else:
+            pool = random_pool(40, 300, np.random.default_rng(int(source[-1])))
+            degree = None
+        monkeypatch.setattr(rrpool, "INDEX_CHUNK_ENTRIES", 8)
+        gathers = []
+        real_gather = rrpool._gather_csr
+
+        def counting_gather(ptr, data, ids):
+            gathers.append(ids.size)
+            return real_gather(ptr, data, ids)
+
+        monkeypatch.setattr(rrpool, "_gather_csr", counting_gather)
+        flat = greedy_max_cover(pool, 10, pad_priority=degree)
+        legacy = greedy_max_cover_legacy(pool, 10, pad_priority=degree)
+        assert flat == legacy
+        assert len(gathers) > 2 * len(flat[0])
+
     def test_empty_pool(self):
         assert greedy_max_cover(FlatRRPool(5), 3) == ([], 0.0)
 
@@ -249,6 +310,41 @@ class TestBatchingGuards:
             if not was_tracing:
                 tracemalloc.stop()
         assert peak - base <= pool.nbytes + 16e6
+
+    def test_index_build_holds_no_pool_sized_transient(self, orkut_ic):
+        pool = FlatRRPool(orkut_ic.n)
+        pool.extend(orkut_ic, Dynamics.IC, 600, np.random.default_rng(0))
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            base, __ = tracemalloc.get_traced_memory()
+            node_ptr, node_sets = pool.node_index
+            __, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert peak - base <= node_ptr.nbytes + node_sets.nbytes + 16 * 2**20
+
+    def test_index_build_and_max_cover_check_the_budget(self, monkeypatch):
+        # Ten disjoint 4-node sets in chunks of 8 entries: 5 index chunks,
+        # then one check per max-cover round.
+        monkeypatch.setattr(rrpool, "INDEX_CHUNK_ENTRIES", 8)
+        pool = FlatRRPool(40)
+        pool.append_chunk(
+            np.full(10, 4), np.arange(40), np.zeros(10, dtype=np.int64)
+        )
+
+        class Counter:
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+
+        budget = Counter()
+        seeds, __ = greedy_max_cover(pool, 3, budget=budget)
+        assert len(seeds) == 3
+        assert budget.checks == 5 + 3
 
     def test_time_limit_interrupts_sampling(self, orkut_ic):
         record, __ = execute_cell(

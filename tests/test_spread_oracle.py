@@ -1,4 +1,4 @@
-"""Unit tests for the batched cascade kernels and the spread-oracle layer."""
+"""Unit tests for the batched cascade kernel and the spread-oracle layer."""
 
 from __future__ import annotations
 
@@ -7,12 +7,8 @@ import pytest
 
 from repro.algorithms import registry
 from repro.diffusion import oracle as oracle_mod
+from repro.diffusion import simulation
 from repro.diffusion._frontier import expand_slices, gather_csr, gather_edges
-from repro.diffusion.batched import (
-    batched_cascades,
-    simulate_ic_batch,
-    simulate_lt_batch,
-)
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.oracle import (
     BatchedMCOracle,
@@ -70,51 +66,43 @@ class TestFrontierHelpers:
         )
 
 
+def _samples(graph, seeds, dynamics, r, rng):
+    return monte_carlo_spread(
+        graph, seeds, dynamics, r=r, rng=rng, return_samples=True
+    )[1]
+
+
 class TestBatchedKernels:
     def test_ic_sure_edges_activate_everything(self, sure_line, rng):
-        active = simulate_ic_batch(sure_line, [0], rng, batch=5)
-        assert active.shape == (5, 4)
-        assert active.all()
+        samples = _samples(sure_line, [0], Dynamics.IC, 5, rng)
+        np.testing.assert_array_equal(samples, np.full(5, 4.0))
 
     def test_ic_dead_edges_stay_at_seeds(self, dead_line, rng):
-        active = simulate_ic_batch(dead_line, [0], rng, batch=4)
-        np.testing.assert_array_equal(active.sum(axis=1), np.ones(4))
-        assert active[:, 0].all()
+        samples = _samples(dead_line, [0], Dynamics.IC, 4, rng)
+        np.testing.assert_array_equal(samples, np.ones(4))
 
     def test_lt_sure_edges_activate_everything(self, sure_line, rng):
-        # In-weight 1.0 >= theta for any theta drawn from [0, 1).
-        active = simulate_lt_batch(sure_line, [0], rng, batch=5)
-        assert active.all()
+        # Each node's one in-edge has weight 1.0, so it is always kept.
+        samples = _samples(sure_line, [0], Dynamics.LT, 5, rng)
+        np.testing.assert_array_equal(samples, np.full(5, 4.0))
 
     def test_empty_seed_set(self, sure_line, rng):
-        for fn in (simulate_ic_batch, simulate_lt_batch):
-            assert not fn(sure_line, [], rng, batch=3).any()
+        for dynamics in (Dynamics.IC, Dynamics.LT):
+            samples = _samples(sure_line, [], dynamics, 3, rng)
+            np.testing.assert_array_equal(samples, np.zeros(3))
 
-    def test_batch_must_be_positive(self, sure_line, rng):
-        with pytest.raises(ValueError):
-            simulate_ic_batch(sure_line, [0], rng, batch=0)
-        with pytest.raises(ValueError):
-            batched_cascades(sure_line, [0], Dynamics.LT, rng, 0)
-
-    def test_lt_threshold_shape_validated(self, sure_line, rng):
-        with pytest.raises(ValueError):
-            simulate_lt_batch(sure_line, [0], rng, batch=2, thresholds=np.zeros(4))
-
-    def test_mc_batch_composes_with_ragged_r(self, small_powerlaw):
-        # r not a multiple of batch still yields exactly r samples.
+    def test_mc_batch_composes_with_ragged_r(self, small_powerlaw, monkeypatch):
+        # r not a multiple of the batch still yields exactly r samples.
+        monkeypatch.setattr(
+            simulation, "MC_BATCH_CELLS", 10 * small_powerlaw.n
+        )
         est, samples = monte_carlo_spread(
             small_powerlaw, [0, 3], Dynamics.IC, r=23,
-            rng=np.random.default_rng(8), batch=10, return_samples=True,
+            rng=np.random.default_rng(8), return_samples=True,
         )
         assert samples.shape == (23,)
         assert est.simulations == 23
-
-    def test_mc_batch_must_be_positive(self, small_powerlaw):
-        with pytest.raises(ValueError):
-            monte_carlo_spread(
-                small_powerlaw, [0], Dynamics.IC, r=5,
-                rng=np.random.default_rng(1), batch=0,
-            )
+        assert samples.min() >= 2
 
     def test_single_sample_std_is_finite(self, small_powerlaw):
         est = monte_carlo_spread(
@@ -138,7 +126,7 @@ class TestOracleBackends:
 
     def test_batched_oracle_is_repeatable(self, small_powerlaw):
         oracle = BatchedMCOracle(
-            small_powerlaw, Dynamics.IC, 40, np.random.default_rng(3), batch=16
+            small_powerlaw, Dynamics.IC, 40, np.random.default_rng(3)
         )
         first = oracle.evaluate([1, 4])
         second = oracle.evaluate([4, 1])  # order-insensitive key
@@ -181,7 +169,7 @@ class TestOracleBackends:
         assert isinstance(
             make_oracle(
                 None, small_powerlaw, Dynamics.IC, rng,
-                mc_simulations=10, mc_batch=8,
+                mc_simulations=10, mc_workers=2,
             ),
             BatchedMCOracle,
         )
@@ -192,7 +180,7 @@ class TestOracleBackends:
 class TestGainCache:
     def test_deterministic_backend_hits(self, small_powerlaw):
         oracle = BatchedMCOracle(
-            small_powerlaw, Dynamics.IC, 20, np.random.default_rng(3), batch=8
+            small_powerlaw, Dynamics.IC, 20, np.random.default_rng(3)
         )
         cache = GainCache()
         first = cache.gain(oracle, 5)
@@ -202,7 +190,7 @@ class TestGainCache:
 
     def test_commit_invalidates_by_key(self, small_powerlaw):
         oracle = BatchedMCOracle(
-            small_powerlaw, Dynamics.IC, 20, np.random.default_rng(3), batch=8
+            small_powerlaw, Dynamics.IC, 20, np.random.default_rng(3)
         )
         cache = GainCache()
         cache.gain(oracle, 5)
@@ -225,9 +213,7 @@ class TestAlgorithmsWithOracles:
     @pytest.mark.parametrize("name", ["GREEDY", "CELF", "CELF++"])
     @pytest.mark.parametrize("backend", ["batched", "snapshot", "sketch"])
     def test_backends_produce_valid_selections(self, small_powerlaw, name, backend):
-        algo = registry.make(
-            name, mc_simulations=20, spread_oracle=backend, mc_batch=16,
-        )
+        algo = registry.make(name, mc_simulations=20, spread_oracle=backend)
         result = algo.select(small_powerlaw, 4, WC, rng=np.random.default_rng(9))
         assert len(result.seeds) == 4
         assert result.extras["spread_oracle"] == backend
@@ -245,7 +231,7 @@ class TestAlgorithmsWithOracles:
         # mg2 is stored under (S u {cur_best}, v); once cur_best is picked,
         # v's next re-lookup is served from the memo.
         result = registry.make(
-            "CELF++", mc_simulations=20, spread_oracle="batched", mc_batch=16
+            "CELF++", mc_simulations=20, spread_oracle="batched"
         ).select(small_powerlaw, 5, WC, rng=np.random.default_rng(9))
         assert result.extras["gain_cache_hits"] > 0
 
@@ -262,7 +248,6 @@ class TestAlgorithmsWithOracles:
 
     def test_invalid_oracle_knobs_rejected(self):
         for kwargs in (
-            {"mc_batch": 0},
             {"mc_workers": 0},
             {"mc_simulations": 0},
         ):

@@ -1,11 +1,13 @@
 """Statistical-equivalence tests for the batched spread engine.
 
-The batched multi-cascade kernels consume RNG draws in a different layout
-than the serial per-cascade loops (coins are drawn edge-major across the
-batch), so batched and serial σ samples can never be compared
-sample-for-sample — but they must agree *distributionally*, under both IC
-and LT.  The snapshot oracle must converge to the exhaustive-enumeration
-oracle, and the marginal-gain memo must be invisible in CELF's output.
+The batched cascade kernel behind ``monte_carlo_spread`` consumes RNG
+draws in another order than the per-cascade reference loop
+(``tests/reference/mc.py``), and runs LT in its live-edge form instead of
+drawing thresholds, so the two can never be compared sample-for-sample —
+but they must agree *distributionally*, under both IC and LT, and the
+kernel's mean must match the exhaustive-enumeration oracle.  The snapshot
+oracle must converge to the same oracle, and the marginal-gain memo must
+be invisible in CELF's output.
 
 Everything runs on fixed seeds, so the p-value assertions are
 deterministic; the suite rides the ``pytest -m statistical`` CI job.
@@ -22,6 +24,7 @@ from repro.diffusion.simulation import monte_carlo_spread
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
 from tests.oracles import exact_spread
+from tests.reference.mc import spread_samples
 
 stats = pytest.importorskip("scipy.stats")
 
@@ -30,6 +33,7 @@ pytestmark = pytest.mark.statistical
 SAMPLES = 400
 P_FLOOR = 0.01  # deterministic under fixed seeds; guards distribution drift
 ORACLE_WORLDS = 20_000
+EXACT_SAMPLES = 20_000
 
 
 @pytest.fixture(scope="module")
@@ -52,13 +56,12 @@ class TestBatchedVsSerialDistribution:
     @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
     def test_spread_samples_ks(self, powerlaw_graph, dynamics):
         seeds = [0, 7, 21]
-        __, serial = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(31), return_samples=True,
+        serial = spread_samples(
+            powerlaw_graph, seeds, dynamics, SAMPLES, np.random.default_rng(31)
         )
         __, batched = monte_carlo_spread(
             powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(77), batch=64, return_samples=True,
+            rng=np.random.default_rng(77), return_samples=True,
         )
         result = stats.ks_2samp(serial, batched)
         assert result.pvalue > P_FLOOR
@@ -66,16 +69,26 @@ class TestBatchedVsSerialDistribution:
     @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
     def test_batched_mean_within_joint_se(self, powerlaw_graph, dynamics):
         seeds = [0, 7, 21]
-        est_s = monte_carlo_spread(
-            powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(31),
+        serial = spread_samples(
+            powerlaw_graph, seeds, dynamics, SAMPLES, np.random.default_rng(31)
         )
         est_b = monte_carlo_spread(
             powerlaw_graph, seeds, dynamics, r=SAMPLES,
-            rng=np.random.default_rng(77), batch=64,
+            rng=np.random.default_rng(77),
         )
-        joint_se = float(np.hypot(est_s.stderr, est_b.stderr))
-        assert abs(est_s.mean - est_b.mean) <= 3.0 * joint_se
+        se_s = float(serial.std(ddof=1)) / np.sqrt(SAMPLES)
+        joint_se = float(np.hypot(se_s, est_b.stderr))
+        assert abs(float(serial.mean()) - est_b.mean) <= 3.0 * joint_se
+
+    @pytest.mark.parametrize("dynamics", [Dynamics.IC, Dynamics.LT])
+    def test_kernel_mean_within_three_se_of_exact(self, tiny_graph, dynamics):
+        seeds = [0, 2]
+        est = monte_carlo_spread(
+            tiny_graph, seeds, dynamics, r=EXACT_SAMPLES,
+            rng=np.random.default_rng(909),
+        )
+        truth = exact_spread(tiny_graph, seeds, dynamics)
+        assert abs(est.mean - truth) <= 3.0 * est.stderr
 
 
 class TestSnapshotOracleConvergence:
@@ -106,9 +119,7 @@ class TestGainCacheRegression:
         """
 
         def run():
-            algo = registry.make(
-                "CELF", mc_simulations=30, spread_oracle="batched", mc_batch=16
-            )
+            algo = registry.make("CELF", mc_simulations=30, spread_oracle="batched")
             return algo.select(powerlaw_graph, 8, WC, rng=np.random.default_rng(42))
 
         with_cache = run()
