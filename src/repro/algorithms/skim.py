@@ -31,7 +31,7 @@ from typing import Any
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.snapshots import generate_lt_snapshot
+from ..diffusion.snapshots import sample_live_masks
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
@@ -87,12 +87,8 @@ class SKIM(IMAlgorithm):
         n, ell = graph.n, self.num_instances
         forward: list[list[np.ndarray]] = []
         backward: list[list[np.ndarray]] = []
-        for __ in range(ell):
+        for live in sample_live_masks(graph, model.dynamics, ell, rng, budget):
             self._tick(budget)
-            if model.dynamics is Dynamics.IC:
-                live = rng.random(graph.m) < graph.out_w
-            else:
-                live = generate_lt_snapshot(graph, rng).live
             forward.append(snapshot_adjacency(graph, live))
             backward.append(_reverse_adjacency(graph, live))
 

@@ -13,10 +13,11 @@ BFS stops at covered nodes — marginal gains shrink rapidly across
 iterations, the property lazy evaluation feeds on.
 
 That is exactly CELF over the snapshot spread oracle
-(:class:`repro.diffusion.oracle.SnapshotOracle`, all worlds advancing in
-one vectorized multi-world BFS), so :class:`StaticGreedy` is
-``CELF(mc_simulations=num_snapshots, spread_oracle="snapshot")`` under its
-own name, parameter and IC-only support.
+(:class:`repro.diffusion.oracle.SnapshotOracle`, every world's reach
+grown at once on the keyed ``world * n + node`` level loop), so
+:class:`StaticGreedy` is ``CELF(mc_simulations=num_snapshots,
+spread_oracle="snapshot")`` under its own name, parameter and IC-only
+support.
 """
 
 from __future__ import annotations

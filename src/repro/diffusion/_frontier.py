@@ -1,18 +1,22 @@
 """Vectorized CSR walks, shared by every frontier-style walker.
 
-One primitive underlies the cascade simulators, the live-edge snapshot
-reachability and the RR pool's set gathering: given CSR offsets and a set
-of row ids, produce the flat index array of every payload slot belonging
-to those rows in a single numpy expression (no per-row Python loop).
-``expand_slices`` returns the *indices*; ``gather_csr`` additionally
-gathers the payload.  Both are int64-overflow-safe (the cumulative sum is
-forced to int64 even when the inputs arrive as int32) and short-circuit
-empty frontiers, so callers never pay array setup for a finished walk.
+One primitive underlies the per-cascade IC simulator, the path engine's
+Dijkstra frontiers and the RR pool's set gathering: given CSR offsets
+and a set of row ids, produce the flat index array of every payload slot
+belonging to those rows in a single numpy expression (no per-row Python
+loop).  ``expand_slices`` returns the *indices*; ``gather_csr``
+additionally gathers the payload.  Both are int64-overflow-safe (the
+cumulative sum is forced to int64 even when the inputs arrive as int32)
+and short-circuit empty frontiers, so callers never pay array setup for
+a finished walk.
 
-``grow_levels`` is the level loop of the two batched samplers: it grows
-many independent breadth-first walks at once, keyed ``walk * n + node``.
-The RR sampler runs it on the in-CSR (one reverse-reachable set per
-walk) and the Monte-Carlo kernel on the out-CSR (one cascade per walk).
+``grow_levels`` is the one level loop of every batched breadth-first
+walker: it grows many independent walks at once, keyed
+``walk * n + node``.  The RR sampler runs it on the in-CSR (one
+reverse-reachable IC set per walk), the Monte-Carlo kernel on the
+out-CSR (one cascade per walk), and live-edge-world reachability
+(:func:`repro.diffusion.snapshots.reach_keys`, behind the snapshot and
+sketch oracles) on the out-CSR too (one world per walk).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "capped_runs",
     "expand_slices",
     "gather_csr",
-    "gather_edges",
     "grow_levels",
 ]
 
@@ -53,11 +56,6 @@ def gather_csr(ptr: np.ndarray, data: np.ndarray, ids: np.ndarray) -> np.ndarray
     if idx.size == 0:
         return np.empty(0, dtype=data.dtype)
     return data[idx]
-
-
-def gather_edges(ptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Indices (into the CSR edge arrays) of all edges leaving ``nodes``."""
-    return expand_slices(ptr, nodes)
 
 
 def capped_runs(ends: np.ndarray, cap: int):

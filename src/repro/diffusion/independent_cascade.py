@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ._frontier import gather_edges
+from ._frontier import expand_slices
 
 __all__ = ["simulate_ic", "simulate_ic_times"]
 
@@ -24,26 +24,10 @@ def simulate_ic(
 
     Each edge out of a newly active node is tried exactly once, so a node
     that fails to activate a neighbour never retries — per Definition 4.
+    It is the set of nodes :func:`simulate_ic_times` gives a time, drawn
+    on the same coins.
     """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    active = np.zeros(graph.n, dtype=bool)
-    if seeds.size == 0:
-        return active
-    active[seeds] = True
-    frontier = np.unique(seeds)
-    out_dst, out_w, out_ptr = graph.out_dst, graph.out_w, graph.out_ptr
-    while frontier.size:
-        eidx = gather_edges(out_ptr, frontier)
-        if eidx.size == 0:
-            break
-        dst = out_dst[eidx]
-        coins = rng.random(eidx.shape[0])
-        hit = dst[(coins < out_w[eidx]) & ~active[dst]]
-        if hit.size == 0:
-            break
-        frontier = np.unique(hit)
-        active[frontier] = True
-    return active
+    return simulate_ic_times(graph, seeds, rng) >= 0
 
 
 def simulate_ic_times(
@@ -67,7 +51,7 @@ def simulate_ic_times(
     step = 0
     while frontier.size:
         step += 1
-        eidx = gather_edges(out_ptr, frontier)
+        eidx = expand_slices(out_ptr, frontier)
         if eidx.size == 0:
             break
         dst = out_dst[eidx]

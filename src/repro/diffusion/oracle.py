@@ -18,10 +18,12 @@ answers that stream; four backends trade accuracy structure for speed:
 ``snapshot``
     The coin-flip technique of Sec. 4.3 generalized: presample R live-edge
     worlds once (the sampler PMC also uses, in
-    :mod:`repro.diffusion.snapshots`) and answer every query by cached
-    per-world reachability.  StaticGreedy is CELF on this backend.
-    Marginal gains BFS only the *uncovered* region, so CELF's queue
-    re-evaluations stop re-sampling and get cheaper as the seed set grows.
+    :mod:`repro.diffusion.snapshots`) and answer every query by
+    reachability grown in all R worlds at once, keyed ``world * n +
+    node`` on the level loop RR sets and Monte-Carlo cascades share.
+    StaticGreedy is CELF on this backend.  Marginal gains BFS only the
+    *uncovered* region, so CELF's queue re-evaluations stop re-sampling
+    and get cheaper as the seed set grows.
 ``sketch``
     The snapshot backend plus per-world bottom-k reachability sketches
     (Cohen's pruned rank-order construction), giving O(1)
@@ -47,10 +49,9 @@ from typing import Any, Sequence
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ._frontier import gather_edges
 from .models import Dynamics, PropagationModel
 from .simulation import monte_carlo_spread
-from .snapshots import sample_live_masks
+from .snapshots import reach_keys, sample_live_masks
 
 __all__ = [
     "ORACLE_BACKENDS",
@@ -338,13 +339,15 @@ class BatchedMCOracle(SpreadOracle):
 class SnapshotOracle(SpreadOracle):
     """σ(S) by cached reachability over R presampled live-edge worlds.
 
-    All worlds advance together: per BFS level the out-edges of the union
-    frontier are gathered once and masked per world by the ``R×m`` live
-    matrix, coin flips replaced by the presampled worlds.  The committed seed
-    set's per-world reachability (``covered``) persists, so marginal-gain
-    BFS stops at covered nodes (anything beyond them is already covered)
-    and iterations get progressively cheaper — the StaticGreedy/PMC
-    property, available to every oracle-backed greedy.
+    Every query grows reachability in all R worlds at once, keyed
+    ``world * n + node`` (:func:`~repro.diffusion.snapshots.reach_keys`,
+    on the level loop RR sets and Monte-Carlo cascades share), coin flips
+    replaced by the presampled ``R×m`` live matrix; σ is the number of
+    reached keys over R.  The committed seed set's per-world reachability
+    (``covered``) persists, so marginal-gain BFS stops at covered nodes
+    (anything beyond them is already covered) and iterations get
+    progressively cheaper — the StaticGreedy/PMC property, available to
+    every oracle-backed greedy.
     """
 
     name = "snapshot"
@@ -372,110 +375,43 @@ class SnapshotOracle(SpreadOracle):
             env="REPRO_SIGMA_CACHE_MAX", counter="oracle.sigma_cache_evictions"
         )
 
-    # -- multi-world reachability --------------------------------------
-
-    def _reach(self, sources: Sequence[int], blocked: np.ndarray) -> np.ndarray:
-        """Per-world mask of nodes newly reachable from ``sources``.
-
-        Blocked nodes neither count nor propagate: a node reachable only
-        through a blocked node is itself already covered (reachability is
-        transitive within a world), so stopping there is exact.
-        """
-        newly = np.zeros_like(self.covered)
-        src_idx = np.asarray(list(sources), dtype=np.int64)
-        if src_idx.size == 0:
-            return newly
-        newly[:, src_idx] = True
-        newly &= ~blocked
-        frontier = newly.copy()
-        out_ptr, out_dst = self.graph.out_ptr, self.graph.out_dst
-        while frontier.any():
-            union = np.nonzero(frontier.any(axis=0))[0]
-            eidx = gather_edges(out_ptr, union)
-            if eidx.size == 0:
-                break
-            counts = out_ptr[union + 1] - out_ptr[union]
-            src = np.repeat(union, counts)
-            hit = frontier[:, src] & self.live[:, eidx]
-            w_idx, e_pos = np.nonzero(hit)
-            if w_idx.size == 0:
-                break
-            cand = np.zeros_like(newly)
-            cand[w_idx, out_dst[eidx][e_pos]] = True
-            cand &= ~blocked & ~newly
-            if not cand.any():
-                break
-            newly |= cand
-            frontier = cand
-        return newly
+    def _reach(self, sources: Sequence[int], visited: np.ndarray) -> np.ndarray:
+        """Keys ``world * n + node`` newly reachable from ``sources``;
+        marks them in the flat ``R*n`` bitmap ``visited``."""
+        return reach_keys(self.graph, self.live, sources, visited)
 
     # -- oracle interface ----------------------------------------------
 
     def evaluate(self, nodes: Sequence[int]) -> float:
-        key = _seed_key(nodes)
-        if not key:
-            return 0.0
-        cached = self._sigma_cache.get(key)
-        if cached is not None:
-            return cached
-        self._tick_evaluation()
-        blocked = np.zeros_like(self.covered)
-        value = float(self._reach(key, blocked).sum()) / self.num_worlds
-        self._sigma_cache.put(key, value)
-        return value
+        return self.evaluate_many([nodes])[0]
 
     def evaluate_many(self, seed_sets: Sequence[Sequence[int]]) -> list[float]:
         """σ of several sets in one oracle call.
 
-        One pass resolves cache hits, dedups repeated sets, and runs the
-        reach kernel once per distinct miss under a single
-        ``oracle.sigma_batch`` span.  Values are bitwise identical to
-        per-set :meth:`evaluate` calls: the BFS is boolean and the final
-        division is the same integer-sum / R.
+        One pass resolves cache hits and dedups repeated sets; each
+        distinct miss then runs the reach kernel once, all under a single
+        ``oracle.sigma_batch`` span, on one visited bitmap cleared after
+        every set.  A set's value is its reached-key count over R, so it
+        does not depend on the batch it came in.
         """
         keys = [_seed_key(s) for s in seed_sets]
-        out: list[float | None] = [None] * len(keys)
-        misses: list[tuple[int, ...]] = []
-        for i, key in enumerate(keys):
-            if not key:
-                out[i] = 0.0
-                continue
-            cached = self._sigma_cache.get(key)
-            if cached is not None:
-                out[i] = cached
-            elif key not in misses:
-                misses.append(key)
+        values: dict[tuple[int, ...], float | None] = {(): 0.0}
+        for key in keys:
+            if key not in values:
+                values[key] = self._sigma_cache.get(key)
+        misses = [key for key, value in values.items() if value is None]
         if misses:
             with _tele().span("oracle.sigma_batch"):
-                values = self._sigma_batch(misses)
+                visited = np.zeros(self.num_worlds * self.graph.n, dtype=bool)
+                for key in misses:
+                    reached = self._reach(key, visited)
+                    visited[reached] = False
+                    values[key] = reached.size / self.num_worlds
             _tele().count("oracle.batch_evaluations")
-            for key, value in zip(misses, values):
-                self.evaluations += 1
-                _tele().count("oracle.sigma_evaluations")
-                self._sigma_cache.put(key, value)
-            resolved = dict(zip(misses, values))
-            for i, key in enumerate(keys):
-                if out[i] is None:
-                    out[i] = resolved[key]
-        return [float(v) for v in out]
-
-    def _sigma_batch(self, keys: list[tuple[int, ...]]) -> list[float]:
-        """Evaluate several seed sets inside one oracle call.
-
-        Each set runs the same per-world reach kernel as
-        :meth:`evaluate` (frontier cost scales with that set's *own*
-        reachable edges).  A single stacked ``B × R``-row BFS was tried
-        here and rejected: it gathers the **union** frontier's edge
-        columns for every row, which loses badly when the coalesced sets
-        are disjoint — the common serving mix.  The batch win is in the
-        caller: one coalescing window, one artifact lock, one executor
-        hop and one σ-memo pass for the whole batch.
-        """
-        blocked = np.zeros_like(self.covered)
-        return [
-            float(self._reach(key, blocked).sum()) / self.num_worlds
-            for key in keys
-        ]
+            for key in misses:
+                self._tick_evaluation()
+                self._sigma_cache.put(key, values[key])
+        return [values[key] for key in keys]
 
     @property
     def nbytes(self) -> int:
@@ -494,20 +430,18 @@ class SnapshotOracle(SpreadOracle):
         self, v: int, extra: Sequence[int] = (), extra_gain: float = 0.0
     ) -> float:
         self._tick_evaluation()
-        blocked = self.covered
+        visited = self.covered.flatten()
         if extra:
-            blocked = blocked | self._reach(extra, self.covered)
-        newly = self._reach([int(v)], blocked)
-        return float(newly.sum()) / self.num_worlds
+            self._reach(extra, visited)
+        return self._reach([int(v)], visited).size / self.num_worlds
 
     def commit(self, v: int, gain: float | None = None) -> None:
-        newly = self._reach([int(v)], self.covered)
-        exact = float(newly.sum()) / self.num_worlds
-        self.covered |= newly
+        # ``covered`` is C-contiguous, so its flat view marks it in place.
+        reached = self._reach([int(v)], self.covered.reshape(-1))
         self.committed.append(int(v))
         # Per-world identity: sum of committed marginals == world-average
         # σ of the committed set, regardless of the gain the caller saw.
-        self.committed_sigma += exact
+        self.committed_sigma += reached.size / self.num_worlds
         self._sigma_cache.clear()
 
 

@@ -6,6 +6,12 @@ snapshot are distributed exactly like the nodes activated by a cascade from
 S, so averaging reachability over R snapshots estimates σ(S) — the
 machinery behind StaticGreedy and PMC.
 
+:func:`reach_keys` grows reachability in many worlds at once, keyed
+``world * n + node`` on the level loop the RR sampler and the
+Monte-Carlo kernel share (:func:`repro.diffusion._frontier.grow_levels`),
+with levels cut into slices of at most
+:data:`repro.diffusion.simulation.MC_SLICE_EDGES` out-edges.
+
 For LT the equivalent "possible world" keeps, per node, at most one
 incoming edge chosen with probability proportional to its weight (Kempe et
 al.'s live-edge construction); :func:`generate_lt_snapshot` implements it
@@ -15,17 +21,20 @@ and the property tests verify the distributional equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..graph.digraph import DiGraph
-from ._frontier import gather_edges
+from . import simulation
+from ._frontier import grow_levels
 from .models import Dynamics
 
 __all__ = [
     "Snapshot",
     "generate_ic_snapshot",
     "generate_lt_snapshot",
+    "reach_keys",
     "sample_live_masks",
     "strongly_connected_components",
 ]
@@ -47,29 +56,45 @@ class Snapshot:
 
     def reachable_from(self, sources: np.ndarray | list[int]) -> np.ndarray:
         """Mask of nodes reachable from ``sources`` along live edges."""
-        sources = np.asarray(sources, dtype=np.int64)
         reached = np.zeros(self.graph.n, dtype=bool)
-        if sources.size == 0:
-            return reached
-        reached[sources] = True
-        frontier = np.unique(sources)
-        out_ptr, out_dst = self.graph.out_ptr, self.graph.out_dst
-        while frontier.size:
-            eidx = gather_edges(out_ptr, frontier)
-            if eidx.size == 0:
-                break
-            eidx = eidx[self.live[eidx]]
-            nxt = out_dst[eidx]
-            nxt = np.unique(nxt[~reached[nxt]])
-            if nxt.size == 0:
-                break
-            reached[nxt] = True
-            frontier = nxt
+        reach_keys(self.graph, self.live[None], sources, reached)
         return reached
 
     def reach_count(self, sources: np.ndarray | list[int]) -> int:
         """|R(sources)| in this snapshot."""
         return int(self.reachable_from(sources).sum())
+
+
+def reach_keys(
+    graph: DiGraph,
+    live: np.ndarray,
+    sources: np.ndarray | Sequence[int],
+    visited: np.ndarray,
+) -> np.ndarray:
+    """Keys ``world * n + node`` newly reachable from ``sources``, per world.
+
+    ``live`` is a ``worlds×m`` mask over the out-CSR edge order and
+    ``visited`` a flat ``worlds*n`` bitmap; edge ``e`` fires in world
+    ``w`` iff ``live[w, e]``.  Keys already set in ``visited`` neither
+    count nor propagate: a node reachable only through one is itself
+    already visited (reachability is transitive within a world), so
+    stopping there is exact.  Marks the new keys in ``visited`` and
+    returns them.
+    """
+    n, m = graph.n, graph.m
+    sources = np.unique(np.asarray(sources, dtype=np.int64))
+    if sources.size and (sources[0] < 0 or sources[-1] >= n):
+        raise ValueError("sources must be node ids of the graph")
+    keys = (np.arange(live.shape[0], dtype=np.int64)[:, None] * n + sources).ravel()
+    flat = live.reshape(-1)
+
+    def fires(edge, row, frontier):
+        return flat[frontier[row] // n * m + edge]
+
+    return grow_levels(
+        graph.out_ptr, graph.out_dst, n, visited, keys[~visited[keys]], fires,
+        simulation.MC_SLICE_EDGES,
+    )
 
 
 def generate_ic_snapshot(graph: DiGraph, rng: np.random.Generator) -> Snapshot:
@@ -106,8 +131,8 @@ def sample_live_masks(
 ) -> np.ndarray:
     """Presample ``count`` live-edge worlds as one ``count×m`` boolean matrix.
 
-    The single sampling point shared by PMC and the snapshot spread oracle
-    (which StaticGreedy runs on).  Worlds are drawn row by row (one
+    The single sampling point shared by PMC, SKIM and the snapshot spread
+    oracle (which StaticGreedy runs on).  Worlds are drawn row by row (one
     ``rng`` draw per world), so the stream matches ``count`` sequential
     calls of the per-snapshot generators exactly — swapping a per-world
     loop for this helper cannot change a seeded run.  ``budget`` (anything with

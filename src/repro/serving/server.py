@@ -540,7 +540,8 @@ class InfluenceServer:
         The first request for an artifact opens a batch and sleeps one
         window; every request arriving meanwhile joins it.  The leader
         then answers the whole batch with **one** ``evaluate_many`` —
-        for the snapshot family, one stacked multi-world BFS.
+        for the snapshot family, one σ-memo pass and one keyed reach per
+        distinct missed set.
         """
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()

@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.framework.shm import SEGMENT_PREFIX
 from repro.graph.digraph import DiGraph
+
+
+def own_shm_segments() -> list[str]:
+    """Names of the shared-memory segments this process published that are
+    still in ``/dev/shm``.
+
+    Segment names carry the creating pid, so another process's live arena
+    (a concurrent benchmark run, say) is not taken for a leak.  Every
+    arena the suite asserts on is published by the test process itself:
+    a pool nested in an isolated child runs serially and publishes none.
+    """
+    prefix = f"{SEGMENT_PREFIX}_{os.getpid()}_"
+    try:
+        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return []
 
 
 @pytest.fixture

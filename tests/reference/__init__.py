@@ -3,13 +3,14 @@
 Each module keeps an original loop that an engine in ``src/`` replaced:
 the per-root dict/heap path-proxy techniques (PMIA, LDAG, IRIE), the
 list-walking RR max-cover, the argsort inverted-index build, the per-set
-RR sampler and the per-cascade Monte-Carlo loop (with the threshold-form
-LT simulator).  They run only in the equivalence tests and the speedup
-benches.  The engines reproduce the first three byte for byte; the
-batched RR sampler and the batched cascade kernel draw their coins in
-another order, so ``random_rr_set`` and ``simulate_spread`` are
-distributional references, compared by KS, chi-squared and exact-spread
-tests instead of equality.
+RR sampler, the per-cascade Monte-Carlo loop (with the threshold-form
+LT simulator) and the snapshot oracle's dense multi-world reach loop
+(``dense_reach``).  They run only in the equivalence tests and the
+speedup benches.  The engines reproduce the first three, and the reach
+loop's counts, byte for byte; the batched RR sampler and the batched
+cascade kernel draw their coins in another order, so ``random_rr_set``
+and ``simulate_spread`` are distributional references, compared by KS,
+chi-squared and exact-spread tests instead of equality.
 """
 
 from .paths import (
@@ -27,6 +28,7 @@ from .rr import (
     greedy_max_cover_legacy,
     random_rr_set,
 )
+from .snapshot import dense_reach
 
 __all__ = [
     "LegacyIRIE",
@@ -37,6 +39,7 @@ __all__ = [
     "argsort_node_index",
     "build_ldag",
     "build_miia",
+    "dense_reach",
     "greedy_max_cover_legacy",
     "max_probability_paths",
     "random_rr_set",

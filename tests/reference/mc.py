@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion._frontier import gather_edges
+from repro.diffusion._frontier import expand_slices
 from repro.diffusion.independent_cascade import simulate_ic
 from repro.diffusion.models import Dynamics, PropagationModel
 from repro.diffusion.oracle import SequentialMCOracle
@@ -52,7 +52,7 @@ def simulate_lt(
     frontier = np.unique(seeds)
     out_dst, out_w, out_ptr = graph.out_dst, graph.out_w, graph.out_ptr
     while frontier.size:
-        eidx = gather_edges(out_ptr, frontier)
+        eidx = expand_slices(out_ptr, frontier)
         if eidx.size == 0:
             break
         dst = out_dst[eidx]

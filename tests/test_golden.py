@@ -139,3 +139,22 @@ def test_lazy_forward_golden(name, params, model_name, seeds, spread,
     )
     assert result.seeds == seeds
     assert result.extras.get("estimated_spread") == spread
+
+
+#: Fully frozen SKIM outputs at k=10, rng seed 7, with the golden
+#: STOCHASTIC parameters: (model, seeds, estimated_spread).  They pin the
+#: worlds SKIM draws (through ``sample_live_masks``) and its rank stream.
+SKIM_GOLDEN = [
+    ("IC", [113, 15, 19, 22, 14, 75, 51, 43, 115, 0], 19.375),
+    ("LT", [0, 35, 5, 1, 2, 40, 24, 26, 17, 36], 84.75),
+]
+
+
+@pytest.mark.parametrize("model_name, seeds, spread", SKIM_GOLDEN)
+def test_skim_golden(model_name, seeds, spread, reference_graphs):
+    model = {"IC": IC, "LT": LT}[model_name]
+    result = registry.make("SKIM", **STOCHASTIC["SKIM"]).select(
+        reference_graphs[model_name], 10, model, rng=np.random.default_rng(7)
+    )
+    assert result.seeds == seeds
+    assert result.extras["estimated_spread"] == spread

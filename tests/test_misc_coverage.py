@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.diffusion._frontier import gather_edges
+from repro.diffusion._frontier import expand_slices
 from repro.diffusion.models import IC, WC
 from repro.framework.metrics import RunRecord
 from repro.framework.runner import IMFramework
@@ -17,11 +17,11 @@ from repro.graph.stats import effective_diameter
 class TestFrontierGatherEdges:
     def test_empty_nodes(self):
         g = DiGraph.from_edges(3, [(0, 1)])
-        assert gather_edges(g.out_ptr, np.empty(0, dtype=np.int64)).size == 0
+        assert expand_slices(g.out_ptr, np.empty(0, dtype=np.int64)).size == 0
 
     def test_nodes_without_edges(self):
         g = DiGraph.from_edges(3, [(0, 1)])
-        got = gather_edges(g.out_ptr, np.array([1, 2]))
+        got = expand_slices(g.out_ptr, np.array([1, 2]))
         assert got.size == 0
 
 

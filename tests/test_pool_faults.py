@@ -28,10 +28,10 @@ from repro.diffusion.simulation import monte_carlo_spread
 from repro.framework.isolation import IsolationConfig, execute_cell
 from repro.framework.metrics import STATUS_DNF, STATUS_FAILED
 from repro.framework.pool import Fault
-from repro.framework.shm import SEGMENT_PREFIX
 from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
+from tests.conftest import own_shm_segments
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="process pools need fork/spawn support"
@@ -206,13 +206,6 @@ class TestDegradationLadder:
         assert pool_detail["label"] == "rrpool.sample"
 
 
-def _shm_leftovers():
-    try:
-        return [f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
-
-
 class TestArenaChaosSuite:
     """Faults with the shared-memory arena armed (REPRO_SHM_MIN_BYTES=0).
 
@@ -246,7 +239,7 @@ class TestArenaChaosSuite:
         # receiving a graph copy: attach events outnumber the single
         # attach one surviving worker set would report.
         assert tele.counters["shm.attach"] >= 2
-        assert not _shm_leftovers()
+        assert not own_shm_segments()
 
     def test_imm_corrupt_results_with_arena(self, graph, monkeypatch):
         algo = lambda: IMM(epsilon=0.5, rr_scale=0.02, rr_workers=3)  # noqa: E731
@@ -259,7 +252,7 @@ class TestArenaChaosSuite:
         assert faulted == baseline
         assert tele.counters["pool.transport_shm"] >= 1
         assert tele.counters["pool.chunk_retries"] >= 2
-        assert not _shm_leftovers()
+        assert not own_shm_segments()
 
     def test_celf_kills_with_arena(self, small_graph, monkeypatch):
         algo = lambda: CELF(mc_simulations=8, mc_workers=2)  # noqa: E731
@@ -272,7 +265,7 @@ class TestArenaChaosSuite:
         assert faulted == baseline
         assert tele.counters["pool.transport_shm"] >= 1
         assert tele.counters["pool.worker_restarts"] >= 1
-        assert not _shm_leftovers()
+        assert not own_shm_segments()
 
     def test_pickle_fallback_rung_under_kills(self, graph, monkeypatch):
         """REPRO_SHM_DISABLE forces the pickle rung; faults stay invisible."""
@@ -284,7 +277,7 @@ class TestArenaChaosSuite:
         assert faulted == baseline
         assert tele.counters["pool.transport_pickle"] >= 1
         assert "pool.transport_shm" not in tele.counters
-        assert not _shm_leftovers()
+        assert not own_shm_segments()
 
     def test_serial_downgrade_rung_with_arena(self, graph, monkeypatch):
         """Restarts exhausted under a 100% kill rate: the serial rung runs
@@ -298,4 +291,4 @@ class TestArenaChaosSuite:
         assert faulted == baseline
         assert tele.counters["pool.serial_downgrades"] >= 1
         assert tele.counters["pool.transport_shm"] >= 1
-        assert not _shm_leftovers()
+        assert not own_shm_segments()

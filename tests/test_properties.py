@@ -9,13 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.diffusion import rrpool, simulation
-from repro.diffusion._frontier import gather_edges
+from repro.diffusion._frontier import expand_slices
 from repro.diffusion.models import Dynamics
+from repro.diffusion.oracle import SnapshotOracle
 from repro.diffusion.rrpool import FlatRRPool, greedy_max_cover, sample_rr_sets
 from repro.diffusion.simulation import cascade_sizes
 from repro.graph import weights as weight_schemes
 from repro.graph.digraph import DiGraph
 from tests.oracles import exact_ic_spread, exact_lt_spread
+from tests.reference import dense_reach
 
 
 @st.composite
@@ -139,7 +141,7 @@ class TestFrontierGather:
             )
         )
         nodes = np.asarray(sorted(nodes), dtype=np.int64)
-        got = gather_edges(g.out_ptr, nodes)
+        got = expand_slices(g.out_ptr, nodes)
         expected = np.concatenate(
             [np.arange(g.out_ptr[u], g.out_ptr[u + 1]) for u in nodes]
         ) if nodes.size else np.empty(0, dtype=np.int64)
@@ -340,6 +342,54 @@ class TestCascadeKernelReach:
                 g, seeds, dynamics, count, np.random.default_rng(seed)
             )
         np.testing.assert_array_equal(sizes, np.full(count, float(len(reached))))
+
+
+class TestSnapshotOracleReach:
+    """The snapshot oracle's σ, gains and committed σ are the dense
+    multi-world reference loop's reach counts over R, exactly.
+
+    Each step evaluates a set, asks a gain given extra nodes and may
+    commit the gain's node, so gains run against covered worlds and
+    often start from covered or extra nodes.  Half the draws cut every
+    level into one-edge slices, so a frontier spans several slices.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        small_graphs(max_nodes=8, max_edges=20),
+        st.sampled_from([Dynamics.IC, Dynamics.LT]),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**31 - 1),
+        st.booleans(),
+        st.data(),
+    )
+    def test_matches_dense_reference(
+        self, g, dynamics, worlds, seed, split, data
+    ):
+        node = st.integers(min_value=0, max_value=g.n - 1)
+        oracle = SnapshotOracle(g, dynamics, worlds, np.random.default_rng(seed))
+        live = oracle.live
+        covered = np.zeros_like(oracle.covered)
+        sigma = 0.0
+        with ExitStack() as stack:
+            if split:
+                stack.enter_context(patch.object(simulation, "MC_SLICE_EDGES", 1))
+            for __ in range(data.draw(st.integers(min_value=1, max_value=4))):
+                sources = data.draw(st.lists(node, max_size=4))
+                newly = dense_reach(g, live, sources, np.zeros_like(covered))
+                assert oracle.evaluate(sources) == newly.sum() / worlds
+                v = data.draw(node)
+                extra = data.draw(st.lists(node, max_size=3))
+                blocked = covered | dense_reach(g, live, extra, covered)
+                newly = dense_reach(g, live, [v], blocked)
+                assert oracle.gain(v, extra) == newly.sum() / worlds
+                if data.draw(st.booleans()):
+                    newly = dense_reach(g, live, [v], covered)
+                    covered |= newly
+                    sigma += newly.sum() / worlds
+                    oracle.commit(v)
+                    assert oracle.committed_sigma == sigma
+                    assert np.array_equal(oracle.covered, covered)
 
 
 class TestMaxCoverProperties:

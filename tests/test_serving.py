@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import socket
 
 import numpy as np
@@ -34,6 +33,7 @@ from repro.serving import (
     start_in_thread,
 )
 from repro.serving.server import MAX_REQUEST_BYTES
+from tests.conftest import own_shm_segments
 
 
 def _weighted(dataset="nethept", model_name="IC"):
@@ -143,7 +143,7 @@ def test_sigma_cache_still_hits_for_repeats(two_cliques):
 
 
 # ----------------------------------------------------------------------
-# SnapshotOracle.evaluate_many: one stacked BFS, bitwise-equal to evaluate
+# SnapshotOracle.evaluate_many: one memo pass, bitwise-equal to evaluate
 
 
 def test_evaluate_many_matches_evaluate(two_cliques):
@@ -514,6 +514,4 @@ def test_server_shutdown_leaves_no_shm_residue():
         client.shutdown()
     handle.stop()
     assert not shm.attached_segments()
-    if os.path.isdir("/dev/shm"):
-        residue = [f for f in os.listdir("/dev/shm") if f.startswith("repro_shm")]
-        assert residue == []
+    assert own_shm_segments() == []

@@ -10,10 +10,10 @@ Three layers are pinned here:
   arrays through the arena; everything else inline); the pickle
   fallbacks (disable flag, min-bytes threshold, publish failure) return
   the original objects; telemetry counters say which path ran;
-* the lifecycle — no ``repro_shm_*`` segment survives in ``/dev/shm``
-  after normal completion, ``KeyboardInterrupt``, worker kills, or the
-  serial downgrade, and engine results are byte-identical with the arena
-  on vs off.
+* the lifecycle — no ``repro_shm_<pid>_*`` segment the test process
+  published survives in ``/dev/shm`` after normal completion,
+  ``KeyboardInterrupt``, worker kills, or the serial downgrade, and
+  engine results are byte-identical with the arena on vs off.
 """
 
 import os
@@ -46,20 +46,11 @@ from repro.framework.shm import (
 from repro.framework.telemetry import Telemetry, activate
 from repro.graph.digraph import DiGraph
 from repro.graph.generators import build, powerlaw_configuration
+from tests.conftest import own_shm_segments
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="process pools need fork/spawn support"
 )
-
-
-def _leftover_segments():
-    """Names of repro shm segments still present in /dev/shm."""
-    try:
-        return sorted(
-            f for f in os.listdir("/dev/shm") if f.startswith(SEGMENT_PREFIX)
-        )
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 def _drain_attach_counter():
@@ -155,10 +146,10 @@ class TestShmRefRoundTrip:
     def test_close_is_idempotent_and_unlinks(self):
         arena = ShmArena(label="close")
         ref = arena.publish(np.ones(2048, dtype=np.float64))
-        assert ref.segment in _leftover_segments()
+        assert ref.segment in own_shm_segments()
         arena.close()
         arena.close()
-        assert ref.segment not in _leftover_segments()
+        assert ref.segment not in own_shm_segments()
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +239,7 @@ class TestExportShared:
         assert payload is shared
         assert tele.counters["shm.fallbacks"] == 1
         assert tele.counters["pool.transport_pickle"] == 1
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_empty_shared_is_noop(self):
         payload, arena = export_shared(())
@@ -318,7 +309,7 @@ class TestPoolIntegration:
         assert tele.counters["pool.transport_shm"] == 1
         assert tele.counters["shm.publish_segments"] == 1
         assert tele.counters["shm.attach"] >= 1
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_shared_args_via_pickle_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_DISABLE", "1")
@@ -331,7 +322,7 @@ class TestPoolIntegration:
         assert out == [float(big.sum()) + i for i in (1, 2, 3)]
         assert tele.counters["pool.transport_pickle"] == 1
         assert "shm.attach" not in tele.counters
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_serial_path_skips_transport(self):
         big = np.arange(1 << 14, dtype=np.float64)
@@ -349,7 +340,7 @@ class TestPoolIntegration:
             _graph_degree_sum, [(0,), (1,)], workers=2, shared=(graph,)
         )
         assert out == [expected, expected + 1]
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_transport_does_not_change_results(self, graph):
         big = np.arange(1 << 14, dtype=np.float64)
@@ -374,7 +365,7 @@ class TestArenaLifecycle:
         big = np.arange(1 << 14, dtype=np.float64)
         run_chunks(_shared_sum, [(i,) for i in range(3)], workers=3,
                    shared=(big,))
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_no_leftovers_after_keyboard_interrupt(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
@@ -388,7 +379,7 @@ class TestArenaLifecycle:
                 _slow_shared_sum, [(i,) for i in range(4)], workers=2,
                 shared=(big,), tick=tick,
             )
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_no_leftovers_after_worker_kill(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
@@ -403,7 +394,7 @@ class TestArenaLifecycle:
         assert tele.counters["pool.worker_restarts"] >= 1
         # The respawned generation re-attached rather than re-copied.
         assert tele.counters["shm.attach"] >= 2
-        assert not _leftover_segments()
+        assert not own_shm_segments()
 
     def test_no_leftovers_after_serial_downgrade(self, monkeypatch):
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
@@ -421,4 +412,4 @@ class TestArenaLifecycle:
             )
         assert out == [float(big.sum()) + i for i in range(3)]
         assert tele.counters["pool.serial_downgrades"] == 1
-        assert not _leftover_segments()
+        assert not own_shm_segments()

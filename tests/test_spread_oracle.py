@@ -8,7 +8,7 @@ import pytest
 from repro.algorithms import registry
 from repro.diffusion import oracle as oracle_mod
 from repro.diffusion import simulation
-from repro.diffusion._frontier import expand_slices, gather_csr, gather_edges
+from repro.diffusion._frontier import expand_slices, gather_csr
 from repro.diffusion.models import Dynamics, WC
 from repro.diffusion.oracle import (
     BatchedMCOracle,
@@ -44,7 +44,7 @@ def small_powerlaw():
 class TestFrontierHelpers:
     def test_empty_frontier_fast_path(self, sure_line):
         assert expand_slices(sure_line.out_ptr, np.empty(0, dtype=np.int64)).size == 0
-        assert gather_edges(sure_line.out_ptr, []).size == 0
+        assert expand_slices(sure_line.out_ptr, []).size == 0
 
     def test_expand_slices_matches_manual(self, small_powerlaw):
         graph = small_powerlaw
@@ -151,6 +151,20 @@ class TestOracleBackends:
         assert oracle.gain(1) == 3.0
         oracle.commit(0)
         assert oracle.gain(1) == 0.0  # everything already covered
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_snapshot_rejects_nodes_outside_the_graph(self, sure_line, node):
+        # A node id past either end would key another world's node.
+        oracle = SnapshotOracle(sure_line, Dynamics.IC, 8, np.random.default_rng(1))
+        for query in (
+            lambda: oracle.evaluate([0, node]),
+            lambda: oracle.gain(node),
+            lambda: oracle.gain(0, extra=[node]),
+            lambda: oracle.commit(node),
+        ):
+            with pytest.raises(ValueError, match="node ids"):
+                query()
+        assert oracle.committed == [] and not oracle.covered.any()
 
     def test_sketch_bound_dominates_gain_when_exact(self, sure_line):
         # SKETCH_K > n: every sketch holds all ranks, so the estimate is
