@@ -10,8 +10,8 @@ speed-up over TIM+ comes from.
 
 As with TIM+, the spread this algorithm itself reports is the coverage
 extrapolation (myth M4 / Appendix A): inflated, and increasingly so at
-larger ε because smaller pools over-fit the selected seeds.  ``rr_scale``
-and ``max_rr_sets`` play the same roles as in :class:`TIMPlus`.
+larger ε because smaller pools over-fit the selected seeds.  The knobs
+are :class:`~repro.algorithms.ris.EpsilonRR`'s, as for TIM+.
 """
 
 from __future__ import annotations
@@ -21,57 +21,19 @@ from typing import Any
 
 import numpy as np
 
-from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.rrpool import FlatRRPool, greedy_max_cover
+from ..diffusion.models import PropagationModel
+from ..diffusion.rrpool import FlatRRPool
 from ..graph.digraph import DiGraph
-from .base import Budget, IMAlgorithm
-from .ris import log_comb
+from .base import Budget
+from .ris import EpsilonRR, cover, log_comb
 
 __all__ = ["IMM"]
 
 
-class IMM(IMAlgorithm):
+class IMM(EpsilonRR):
     """IMM with martingale-based sampling (Alg. 3 of the IMM paper)."""
 
     name = "IMM"
-    supported = (Dynamics.IC, Dynamics.LT)
-    external_parameter = "epsilon"
-
-    def __init__(
-        self,
-        epsilon: float = 0.5,
-        ell: float = 1.0,
-        rr_scale: float = 1.0,
-        max_rr_sets: int | None = 2_000_000,
-        rr_workers: int | None = None,
-    ) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = epsilon
-        self.ell = ell
-        self.rr_scale = rr_scale
-        self.max_rr_sets = max_rr_sets
-        self.rr_workers = rr_workers
-
-    def _cap(self, count: float) -> int:
-        count = int(math.ceil(count * self.rr_scale))
-        if self.max_rr_sets is not None:
-            count = min(count, self.max_rr_sets)
-        return max(count, 1)
-
-    def _extend(
-        self,
-        pool: FlatRRPool,
-        graph: DiGraph,
-        dynamics: Dynamics,
-        target: int,
-        rng: np.random.Generator,
-        budget: Budget | None,
-    ) -> None:
-        pool.extend(
-            graph, dynamics, target - len(pool), rng,
-            workers=self.rr_workers, budget=budget,
-        )
 
     def _select(
         self,
@@ -111,19 +73,15 @@ class IMM(IMAlgorithm):
             phases = i
             x = n / 2.0**i
             theta_i = self._cap(lambda_prime / x)
-            self._extend(pool, graph, model.dynamics, theta_i, rng, budget)
-            seeds_i, coverage_i = greedy_max_cover(
-                pool, k, pad_priority=graph.out_degree(), budget=budget
-            )
+            self._sample(graph, model.dynamics, theta_i, rng, budget, pool)
+            __, coverage_i = cover(pool, graph, k, budget)
             if n * coverage_i >= (1.0 + eps_prime) * x:
                 lower_bound = n * coverage_i / (1.0 + eps_prime)
                 break
 
         theta = self._cap(lambda_star / lower_bound)
-        self._extend(pool, graph, model.dynamics, theta, rng, budget)
-        seeds, coverage = greedy_max_cover(
-            pool, k, pad_priority=graph.out_degree(), budget=budget
-        )
+        self._sample(graph, model.dynamics, theta, rng, budget, pool)
+        seeds, coverage = cover(pool, graph, k, budget)
         return seeds, {
             "lower_bound": lower_bound,
             "sampling_phases": phases,

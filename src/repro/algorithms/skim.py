@@ -31,21 +31,11 @@ from typing import Any
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.snapshots import sample_live_masks
+from ..diffusion.snapshots import reach_keys, sample_live_masks
 from ..graph.digraph import DiGraph
 from .base import Budget, IMAlgorithm
 
-__all__ = ["SKIM", "snapshot_adjacency"]
-
-
-def snapshot_adjacency(graph: DiGraph, live: np.ndarray) -> list[np.ndarray]:
-    """Per-node live out-neighbour arrays for one snapshot."""
-    counts = np.zeros(graph.n, dtype=np.int64)
-    live_idx = np.nonzero(live)[0]
-    src = graph.edge_src[live_idx]
-    np.add.at(counts, src, 1)
-    splits = np.cumsum(counts)[:-1]
-    return np.split(graph.out_dst[live_idx], splits)
+__all__ = ["SKIM"]
 
 
 def _reverse_adjacency(graph: DiGraph, live: np.ndarray) -> list[np.ndarray]:
@@ -85,21 +75,18 @@ class SKIM(IMAlgorithm):
         budget: Budget | None,
     ) -> tuple[list[int], dict[str, Any]]:
         n, ell = graph.n, self.num_instances
-        forward: list[list[np.ndarray]] = []
+        masks = sample_live_masks(graph, model.dynamics, ell, rng, budget)
         backward: list[list[np.ndarray]] = []
-        for live in sample_live_masks(graph, model.dynamics, ell, rng, budget):
+        for live in masks:
             self._tick(budget)
-            forward.append(snapshot_adjacency(graph, live))
             backward.append(_reverse_adjacency(graph, live))
 
         # One uniform rank per (node, instance) pair; the stream visits
         # pairs in increasing rank.
         ranks = rng.random(n * ell)
         stream = np.argsort(ranks)
+        # Keys ``instance * n + node``, as ``reach_keys`` counts them.
         covered = np.zeros(n * ell, dtype=bool)
-
-        def pair(node: int, instance: int) -> int:
-            return instance * n + node
 
         seeds: list[int] = []
         in_seed = np.zeros(n, dtype=bool)
@@ -140,20 +127,9 @@ class SKIM(IMAlgorithm):
             seeds.append(chosen)
             in_seed[chosen] = True
             # Phase 2: mark everything the new seed covers in every world.
-            for instance in range(ell):
-                seen2 = {chosen}
-                queue = deque([chosen])
-                while queue:
-                    x = queue.popleft()
-                    p = pair(x, instance)
-                    if not covered[p]:
-                        covered[p] = True
-                        total_covered += 1
-                    for y in forward[instance][x]:
-                        y = int(y)
-                        if y not in seen2:
-                            seen2.add(y)
-                            queue.append(y)
+            # ``covered`` is a union of whole reach sets, so stopping at
+            # covered pairs is exact.
+            total_covered += reach_keys(graph, masks, [chosen], covered).size
         return seeds, {
             "num_instances": ell,
             "sketch_k": self.sketch_k,

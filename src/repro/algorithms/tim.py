@@ -15,11 +15,9 @@ Benchmark-relevant behaviours reproduced deliberately:
   the memory blow-up of Figs. 1a/8 and M6; a memory budget turns that
   into a ``CRASHED`` status.
 
-``rr_scale`` scales every sample-size bound (θ and the KPT-estimation
-batch sizes).  The theoretical bounds assume C++-scale throughput; on the
-scaled Python datasets a value well below 1 preserves the ε-shape of the
-bounds (θ ∝ 1/ε²) at tractable cost.  ``max_rr_sets`` is a hard safety
-cap.
+The knobs (``epsilon``, ``ell``, ``rr_scale``, ``max_rr_sets``,
+``rr_workers``) are :class:`~repro.algorithms.ris.EpsilonRR`'s;
+``rr_scale`` scales θ and the KPT-estimation batch sizes alike.
 """
 
 from __future__ import annotations
@@ -30,58 +28,18 @@ from typing import Any
 import numpy as np
 
 from ..diffusion.models import Dynamics, PropagationModel
-from ..diffusion.rrpool import FlatRRPool, greedy_max_cover
+from ..diffusion.rrpool import FlatRRPool
 from ..graph.digraph import DiGraph
-from .base import Budget, IMAlgorithm
-from .ris import log_comb
+from .base import Budget
+from .ris import EpsilonRR, cover, log_comb
 
 __all__ = ["TIMPlus"]
 
 
-class TIMPlus(IMAlgorithm):
+class TIMPlus(EpsilonRR):
     """TIM+ with the KPT refinement step of the original paper."""
 
     name = "TIM+"
-    supported = (Dynamics.IC, Dynamics.LT)
-    external_parameter = "epsilon"
-
-    def __init__(
-        self,
-        epsilon: float = 0.5,
-        ell: float = 1.0,
-        rr_scale: float = 1.0,
-        max_rr_sets: int | None = 2_000_000,
-        rr_workers: int | None = None,
-    ) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.epsilon = epsilon
-        self.ell = ell
-        self.rr_scale = rr_scale
-        self.max_rr_sets = max_rr_sets
-        self.rr_workers = rr_workers
-
-    # ------------------------------------------------------------------
-
-    def _cap(self, count: float) -> int:
-        count = int(math.ceil(count * self.rr_scale))
-        if self.max_rr_sets is not None:
-            count = min(count, self.max_rr_sets)
-        return max(count, 1)
-
-    def _extend(
-        self,
-        pool: FlatRRPool,
-        graph: DiGraph,
-        dynamics: Dynamics,
-        target: int,
-        rng: np.random.Generator,
-        budget: Budget | None,
-    ) -> None:
-        pool.extend(
-            graph, dynamics, target - len(pool), rng,
-            workers=self.rr_workers, budget=budget,
-        )
 
     def _kpt_estimation(
         self,
@@ -101,7 +59,7 @@ class TIMPlus(IMAlgorithm):
         for i in range(1, max_i + 1):
             ci = self._cap((6 * self.ell * log_n + 6 * math.log(max_i + 1)) * 2**i)
             start = len(pool)
-            self._extend(pool, graph, dynamics, start + ci, rng, budget)
+            self._sample(graph, dynamics, start + ci, rng, budget, pool)
             # kappa per sample, vectorized over the batch's widths.
             widths = pool.widths[start : start + ci].astype(np.float64)
             total = float(np.sum(1.0 - (1.0 - widths / m) ** k))
@@ -122,15 +80,12 @@ class TIMPlus(IMAlgorithm):
         """Alg. 3 of the TIM paper: tighten KPT with an intermediate greedy."""
         n = graph.n
         log_n = math.log(max(n, 2))
-        seeds, __ = greedy_max_cover(
-            pool, k, pad_priority=graph.out_degree(), budget=budget
-        )
+        seeds, __ = cover(pool, graph, k, budget)
         eps_prime = 5.0 * (self.ell * self.epsilon**2 / (k + self.ell)) ** (1.0 / 3.0)
         theta_prime = self._cap(
             (2 + eps_prime) * self.ell * n * log_n / (eps_prime**2 * kpt)
         )
-        probe = FlatRRPool(graph.n)
-        self._extend(probe, graph, dynamics, theta_prime, rng, budget)
+        probe = self._sample(graph, dynamics, theta_prime, rng, budget)
         fraction = probe.coverage_fraction(seeds)
         kpt_plus = fraction * n / (1.0 + eps_prime)
         return max(kpt_plus, kpt)
@@ -160,11 +115,8 @@ class TIMPlus(IMAlgorithm):
             / self.epsilon**2
         )
         theta = self._cap(lam / kpt_plus)
-        final = FlatRRPool(graph.n)
-        self._extend(final, graph, model.dynamics, theta, rng, budget)
-        seeds, coverage = greedy_max_cover(
-            final, k, pad_priority=graph.out_degree(), budget=budget
-        )
+        final = self._sample(graph, model.dynamics, theta, rng, budget)
+        seeds, coverage = cover(final, graph, k, budget)
         return seeds, {
             "kpt": kpt,
             "kpt_plus": kpt_plus,

@@ -332,7 +332,7 @@ class InfluenceServer:
         params = dict(request.get("params") or {})
         seed = int(request.get("seed", 0))
         graph, model = self.catalog.weighted(dataset, model_name)
-        if algorithm == "RIS" and "width_budget" not in params:
+        if algorithm == "RIS":
             return await self._topk_rrpool(
                 dataset, model_name, graph, model, k, params, seed
             )
@@ -345,25 +345,19 @@ class InfluenceServer:
     ) -> dict[str, Any]:
         """RIS through a warm pool: sample once, max-cover per query.
 
-        The pool is sampled exactly as ``RIS._select`` would on a fresh
-        ``default_rng(seed)``, and ``greedy_max_cover`` is read-only, so
-        the answer is byte-identical to the batch path for *every* ``k``
-        — without resampling after the first query.
+        The pool is ``RIS(**params).sample_pool`` on a fresh
+        ``default_rng(seed)`` (it does not depend on ``k``), and ``cover``
+        is read-only, so the answer is byte-identical to the batch path
+        for *every* ``k`` — without resampling after the first query.
         """
-        from ..diffusion.rrpool import FlatRRPool, greedy_max_cover
+        from ..algorithms.ris import RIS, cover
 
-        num_rr_sets = int(params.get("num_rr_sets", 10_000))
-        rr_workers = params.get("rr_workers")
-        key = artifact_key(
-            "rrpool", dataset, model_name,
-            num_rr_sets=num_rr_sets, rr_workers=rr_workers, seed=seed,
-        )
+        ris = RIS(**params)
+        key = artifact_key("rrpool", dataset, model_name, seed=seed, **vars(ris))
 
-        def build() -> FlatRRPool:
-            pool = FlatRRPool(graph.n)
-            pool.extend(
-                graph, model.dynamics, num_rr_sets,
-                np.random.default_rng(seed), workers=rr_workers,
+        def build():
+            pool = ris.sample_pool(
+                graph, model.dynamics, np.random.default_rng(seed)
             )
             # Build the inverted index that every max-cover reads before
             # the artifact is sized, so the LRU budget charges for it.
@@ -373,10 +367,8 @@ class InfluenceServer:
         entry, warm = await self._artifact(key, "rrpool", build)
         if warm:
             self.telemetry.count("serving.topk_warm")
-        pad = graph.out_degree()
         seeds, coverage = await self._run_engine(
-            "serving.max_cover",
-            lambda: greedy_max_cover(entry.payload, k, pad_priority=pad),
+            "serving.max_cover", lambda: cover(entry.payload, graph, k)
         )
         return {
             "seeds": [int(s) for s in seeds],

@@ -158,3 +158,55 @@ def test_skim_golden(model_name, seeds, spread, reference_graphs):
     )
     assert result.seeds == seeds
     assert result.extras["estimated_spread"] == spread
+
+
+#: Fully frozen outputs of the RR-set family at k=10, rng seed 7, with the
+#: golden STOCHASTIC parameters unless a row adds its own:
+#: (technique, params, model, seeds, num_rr_sets, extrapolated_spread).
+#: They pin each technique's sample sizes and draw order, the shared
+#: max-cover and its out-degree padding (IMM's 12-set pools pad most of
+#: their seeds); the ``rr_workers=2`` rows pin the pooled sampling path.
+RR_GOLDEN = [
+    ("RIS", {}, "IC",
+     [1, 0, 36, 23, 49, 61, 75, 79, 4, 25], 500, 28.32),
+    ("RIS", {}, "LT",
+     [5, 2, 0, 22, 1, 24, 13, 75, 23, 18], 500, 78.48),
+    ("RIS", {"width_budget": 2000}, "IC",
+     [1, 4, 25, 61, 116, 2, 101, 22, 36, 52], 243, 32.098765432098766),
+    ("RIS", {"width_budget": 2000}, "LT",
+     [2, 5, 0, 22, 1, 23, 62, 85, 25, 31], 83, 86.74698795180723),
+    ("TIM+", {}, "IC",
+     [2, 5, 36, 79, 4, 22, 54, 71, 75, 19], 241, 35.850622406639005),
+    ("TIM+", {}, "LT",
+     [1, 5, 24, 0, 49, 87, 19, 28, 22, 45], 102, 88.23529411764707),
+    ("IMM", {}, "IC",
+     [3, 5, 10, 45, 56, 69, 82, 89, 93, 100], 12, 100.0),
+    ("IMM", {}, "LT",
+     [1, 2, 63, 0, 5, 38, 22, 4, 3, 8], 12, 120.0),
+    ("IMM", {"rr_workers": 2}, "IC",
+     [1, 106, 14, 33, 38, 40, 56, 65, 76, 109], 12, 120.0),
+    ("IMM", {"rr_workers": 2}, "LT",
+     [1, 2, 4, 8, 22, 53, 60, 71, 72, 5], 12, 120.0),
+    ("SSA", {}, "IC",
+     [2, 0, 5, 8, 72, 38, 99, 111, 17, 85], 7308, 26.25),
+    ("SSA", {}, "LT",
+     [1, 5, 2, 22, 3, 0, 17, 21, 24, 18], 812, 79.65517241379311),
+    ("D-SSA", {}, "IC",
+     [2, 5, 8, 3, 9, 98, 71, 80, 97, 23], 3712, 23.340517241379313),
+    ("D-SSA", {}, "LT",
+     [0, 5, 3, 24, 31, 48, 69, 2, 1, 22], 232, 86.89655172413794),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, model_name, seeds, num_rr_sets, spread", RR_GOLDEN
+)
+def test_rr_golden(name, params, model_name, seeds, num_rr_sets, spread,
+                   reference_graphs):
+    model = {"IC": IC, "LT": LT}[model_name]
+    result = registry.make(name, **STOCHASTIC[name], **params).select(
+        reference_graphs[model_name], 10, model, rng=np.random.default_rng(7)
+    )
+    assert result.seeds == seeds
+    assert result.extras["num_rr_sets"] == num_rr_sets
+    assert result.extras["extrapolated_spread"] == spread

@@ -14,6 +14,7 @@ deterministic, not flaky.
 
 import multiprocessing
 import os
+import tempfile
 import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -45,6 +46,13 @@ pytestmark = pytest.mark.skipif(
 
 
 def _square(x):
+    return x * x
+
+
+def _square_logged(state_dir, x):
+    """``x * x``, leaving one marker file per call in ``state_dir``."""
+    fd, __ = tempfile.mkstemp(prefix=f"{x}.", dir=state_dir)
+    os.close(fd)
     return x * x
 
 
@@ -158,17 +166,28 @@ class TestFaultRecovery:
 
     BASELINE = [i * i for i in range(6)]
 
-    def test_kill_salvages_and_restarts(self):
+    def test_kill_salvages_and_restarts(self, tmp_path):
         tele = Telemetry()
-        # seed 79 @ rate .25: only chunk 5 is killed, on attempt 0.  With 2
-        # workers the first five chunks complete and commit before chunk 5
-        # runs, so exactly 5 results are salvaged across the restart.
+        # seed 79 @ rate .25: only chunk 5 is killed, on attempt 0, before
+        # it runs.  A worker takes chunk 5 only after delivering an earlier
+        # result, but whether the parent has collected chunk 4's result
+        # when the pool breaks depends on scheduling: 1 to 5 results are
+        # salvaged across the restart.
         with activate(tele), Fault(mode="kill", rate=0.25, seed=79):
-            out = run_chunks(_square, [(i,) for i in range(6)], workers=2)
+            out = run_chunks(
+                _square_logged, [(str(tmp_path), i) for i in range(6)],
+                workers=2,
+            )
         assert out == self.BASELINE
         assert tele.counters["pool.worker_restarts"] == 1
-        assert tele.counters["pool.chunks_salvaged"] == 5
+        salvaged = tele.counters["pool.chunks_salvaged"]
+        assert 1 <= salvaged <= 5
         assert "pool.serial_downgrades" not in tele.counters
+        # Salvaged results are kept, not recomputed: only the chunks of
+        # 0-4 lost in the collapse may have run twice.
+        calls = [name.split(".")[0] for name in os.listdir(tmp_path)]
+        ran_twice = sum(calls.count(str(i)) > 1 for i in range(6))
+        assert ran_twice <= 5 - salvaged
 
     def test_corrupt_results_detected_and_retried(self):
         tele = Telemetry()

@@ -322,6 +322,30 @@ def test_topk_ris_byte_identical_to_batch_and_warm(served):
     assert smaller["warm"] and smaller["seeds"] == ref.seeds[:2]
 
 
+def test_topk_ris_width_budget_served_from_warm_pool(served):
+    # The width-budget pool does not depend on k, so one pool answers a
+    # larger budget warm too.
+    params = {"num_rr_sets": 5000, "width_budget": 4000}
+    graph, model = _weighted()
+    with served.client() as client:
+        for i, k in enumerate((8, 3, 12)):
+            got = client.topk("nethept", "IC", "RIS", k, params=params, seed=5)
+            ref = algorithms.make("RIS", **params).select(
+                graph, k, model, rng=np.random.default_rng(5)
+            )
+            assert got["seeds"] == ref.seeds
+            assert got["warm"] == (i > 0)
+
+
+def test_topk_ris_params_checked_by_ris(served):
+    with served.client() as client:
+        with pytest.raises(ServingError, match="num_rr_sets"):
+            client.topk("nethept", "IC", "RIS", 5, params={"num_rr_sets": 0})
+        with pytest.raises(ServingError, match="num_rr_set"):
+            client.topk("nethept", "IC", "RIS", 5, params={"num_rr_set": 10})
+        assert client.ping() == "pong"
+
+
 def test_rrpool_artifact_bytes_include_inverted_index():
     # Every max-cover reads the pool's inverted index, so the LRU must
     # charge for it from the first (cold) query on.

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.pmc import PMC, contract_snapshot
-from repro.algorithms.skim import snapshot_adjacency
 from repro.algorithms.static_greedy import StaticGreedy
 from repro.datasets import load
 from repro.diffusion.models import IC, LT
@@ -16,23 +15,6 @@ from repro.graph.digraph import DiGraph
 def hub_graph():
     edges = [(0, i) for i in range(1, 8)] + [(8, 9)]
     return DiGraph.from_edges(10, edges, weights=[0.9] * 7 + [0.9])
-
-
-class TestSnapshotAdjacency:
-    def test_respects_live_mask(self):
-        g = DiGraph.from_edges(3, [(0, 1), (0, 2)])
-        adj = snapshot_adjacency(g, np.array([True, False]))
-        assert len(adj) == 3
-        assert adj[0].tolist() in ([1], [2])
-        live_targets = adj[0].tolist()
-        assert len(live_targets) == 1
-
-    def test_all_live(self):
-        g = DiGraph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
-        adj = snapshot_adjacency(g, np.ones(3, dtype=bool))
-        assert sorted(adj[0].tolist()) == [1, 2]
-        assert adj[1].tolist() == [2]
-        assert adj[2].tolist() == []
 
 
 class TestStaticGreedy:
