@@ -69,9 +69,10 @@ class PMIA(IMAlgorithm):
 
         The arborescences come from the path-proxy engine and each
         round's prefix-exclusion rebuild is one batched kernel call over
-        the dirty roots from the ``containing`` inverted index.  Float
-        expressions and accumulation order match the per-root dict/heap
-        loop in ``tests/reference``, so seeds are bit-identical to it.
+        the dirty roots (from the ``containing`` inverted index) where
+        the new seed can push.  Float expressions and accumulation order
+        match the per-root dict/heap loop in ``tests/reference``, so
+        seeds are bit-identical to it.
         """
         def tick() -> None:
             self._tick(budget)
@@ -93,8 +94,10 @@ class PMIA(IMAlgorithm):
             if len(seeds) == k:
                 break  # nothing reads the trees after the last pick
             in_seed[s] = True
+            # Rebuild only the trees where s can push; every tree holding
+            # s is re-swept, since ap(s) = 1 changes its DP.
             dirty = store.dirty(s)
-            store.rebuild(dirty, in_seed, tick=tick)
+            store.rebuild(store.pushing(dirty, s), in_seed, tick=tick)
             new_gains = store.gains(dirty, in_seed)
             # Swap contributions per structure in index order: subtract
             # the old gains, add the new ones.

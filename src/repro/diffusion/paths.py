@@ -17,7 +17,8 @@ Exactness guarantees (the engine is a drop-in, not an approximation):
 * ``pp`` values are *bitwise* identical to the legacy helpers.  Both
   compute each candidate as ``pp(parent) * w`` — the same left-to-right
   float product along the same winning path — and take the max over the
-  same candidate set; scatter-max and a binary heap agree on maxima.
+  same candidate set; ``np.maximum.at`` and a binary heap agree on
+  maxima.  Edge weights must be probabilities (at most 1).
 * The **settle order** (which fixes PMIA's processing order, LDAG's edge
   orientation and all downstream float-accumulation orders) is replayed
   exactly.  Legacy order is non-increasing in ``pp``; inside a plateau of
@@ -25,9 +26,14 @@ Exactness guarantees (the engine is a drop-in, not an approximation):
   strictly-higher plateau are present from the start and pop by id, while
   nodes reached through an intra-plateau weight-1-style edge only become
   poppable once their achiever settles.  The kernel sorts by
-  ``(-pp, id)`` and then replays only the plateaus that contain a member
-  without an external achiever with a tiny heap simulation (rare: it
-  requires an exact ``pp(x) * w == pp(y)`` tie with ``pp(x) == pp(y)``).
+  ``(-pp, id)``.  A plateau's heap order is id order exactly when every
+  member without an external achiever (other than the source) has an
+  intra-plateau achiever with a smaller id; only the other plateaus are
+  replayed with a heap, from their first member that breaks the rule.
+  Such plateaus are not rare: under WC and uniform LT every in-degree-1
+  node makes a weight-1.0 tie.  One PMIA/WC plus LDAG/LT selection on
+  livejournal (k = 2) has 47,788 plateaus with a member lacking an
+  external achiever; 20,752 of them break the id-order rule.
 * **Parents** follow the legacy last-writer rule: the achiever
   (``pp(x) * w == pp(y)`` exactly, conducting) with the earliest settle
   rank.  PMIA's children lists are rebuilt in legacy dict-insertion
@@ -38,6 +44,14 @@ Exactness guarantees (the engine is a drop-in, not an approximation):
   expansion and from achiever/pusher candidacy, exactly like the legacy
   ``continue`` after settling.
 
+Kernel mechanics: each call allocates one dense scratch (``pp``, a
+reached bitmap and an int64 stamp/position array, rows × n) that every
+batch reuses and clears cell by cell.  The settle sort is one stable
+argsort of the packed key ``row * span + (bits(1.0) - bits(pp))``: for
+positive floats the IEEE bit pattern is monotone, and the row cap per
+batch (``2**63 // span``, computed from the threshold) keeps the key
+inside int64.
+
 The structure stores keep each arborescence/DAG as small arrays in settle
 order with a per-structure edge list pre-sorted for the sweeps; the
 ap/alpha passes then process one settle *rank* at a time across every
@@ -46,12 +60,15 @@ sequential) reproducing the legacy per-node accumulation order exactly.
 
 Incremental invalidation: the greedy loops key dirty sets off the
 ``containing[]`` inverted index (node → structures it appears in); each
-round only the dirty structures are re-swept — and for PMIA rebuilt, as
-one batched kernel call over the dirty roots.  ``path_workers`` fans the
-initial build out over a process pool (contiguous root chunks, flat
-arrays shipped back, deterministic merge — the kernel draws no
-randomness, so unlike ``rr_workers``/``mc_workers`` no SeedSequence
-spawning is needed and results are independent of the worker count).
+round only the dirty structures are re-swept.  PMIA rebuilds, as one
+batched kernel call, only the dirty trees where the new seed can push
+(``TreeStore.pushing``): in any other tree the kernel prunes the seed
+before expanding it, blocked or not, so the rebuild would return the
+same arrays bit for bit.  ``path_workers`` fans the initial build out
+over a process pool (contiguous root chunks, flat arrays shipped back,
+deterministic merge — the kernel draws no randomness, so unlike
+``rr_workers``/``mc_workers`` no SeedSequence spawning is needed and
+results are independent of the worker count).
 """
 
 from __future__ import annotations
@@ -89,18 +106,29 @@ def _tele():
     return current()
 
 
-def _scatter_max(pp: np.ndarray, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Segmented max of ``vals`` into ``pp[keys]``; returns improved keys."""
-    order = np.argsort(keys, kind="stable")
-    ks = keys[order]
-    vs = vals[order]
-    bounds = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
-    uniq = ks[bounds]
-    seg_max = np.maximum.reduceat(vs, bounds)
-    improved = seg_max > pp[uniq]
-    uniq = uniq[improved]
-    pp[uniq] = seg_max[improved]
-    return uniq
+def _can_push(pp, wmax, threshold):
+    """Whether a node settled at ``pp`` whose best edge weighs ``wmax`` can
+    relax any edge to ``threshold`` or above (``pp <= 1`` and products
+    only shrink).  The kernel drops frontier nodes that fail it before
+    expansion; ``TreeStore.pushing`` uses the same float product to find
+    the trees that blocking a node cannot change."""
+    return pp * wmax >= threshold
+
+
+def _concat_parts(parts: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Merge per-batch (or per-chunk) flat results, rows in part order."""
+    if not parts:  # no sources
+        i64 = np.empty(0, dtype=np.int64)
+        f64 = np.empty(0, dtype=np.float64)
+        return np.zeros(1, dtype=np.int64), i64, f64, i64, f64, i64
+    if len(parts) == 1:
+        return parts[0]
+    ptrs = [parts[0][0]]
+    for part in parts[1:]:
+        ptrs.append(part[0][1:] + ptrs[-1][-1])
+    return tuple([np.concatenate(ptrs)] + [
+        np.concatenate([part[j] for part in parts]) for j in range(1, 6)
+    ])
 
 
 class PathBatch:
@@ -166,37 +194,51 @@ def _kernel_chunk(
     conduct = None if blocked is None else ~np.asarray(blocked, dtype=bool)
 
     # Per-node best edge weight: a frontier node x with pp(x) * wmax(x)
-    # below the threshold cannot produce a single successful relaxation
-    # (pp <= 1 and products only shrink), so the kernel drops it before
-    # expansion — on probability-pruned searches the overwhelming share
-    # of frontier nodes sit just above the threshold and die here.
+    # below the threshold cannot produce a single successful relaxation,
+    # so the kernel drops it before expansion — on probability-pruned
+    # searches the overwhelming share of frontier nodes sit just above
+    # the threshold and die here.
     wmax = np.zeros(n, dtype=np.float64)
     nz = np.flatnonzero(np.diff(ptr) > 0)
     if nz.size:
         wmax[nz] = np.maximum.reduceat(w, ptr[nz])
+        if wmax.max() > 1.0:
+            raise ValueError("edge weights must be probabilities (at most 1)")
 
+    # Settle order sorts on one packed key per reached cell:
+    # row * span + (bits(1.0) - bits(pp)).  Every reached pp lies in
+    # [threshold, 1] and is positive, where the IEEE bit pattern is
+    # monotone, so the key orders rows, then pp descending; the row cap
+    # keeps the largest key inside int64.
     sources = np.asarray(sources, dtype=np.int64)
-    step = max(1, min(len(sources), _MAX_DENSE // max(n, 1)))
-    parts: list[tuple[np.ndarray, ...]] = []
-    for lo in range(0, len(sources), step):
-        parts.append(_kernel_batch(
-            n, ptr, adj, w, sources[lo:lo + step], threshold, conduct, wmax,
-        ))
-    if len(parts) == 1:
-        return parts[0]
-    ptrs = [parts[0][0]]
-    for part in parts[1:]:
-        ptrs.append(part[0][1:] + ptrs[-1][-1])
-    return tuple([np.concatenate(ptrs)] + [
-        np.concatenate([part[j] for part in parts]) for j in range(1, 6)
-    ])
+    top, low = np.array([1.0, max(threshold, 0.0)]).view(np.int64).tolist()
+    span = max(top - low, 0) + 1
+    step = max(1, min(len(sources), _MAX_DENSE // max(n, 1), 2**63 // span))
+    # One scratch per call, cleared cell by cell after each batch: the
+    # dense pp, a reached bitmap (its flatnonzero is the batch's keys in
+    # (row, id) order) and an int64 stamp/position array.
+    cells = step * n
+    scratch = (
+        np.zeros(cells, dtype=np.float64),
+        np.zeros(cells, dtype=bool),
+        np.empty(cells, dtype=np.int64),
+    )
+    parts = [
+        _kernel_batch(n, ptr, adj, w, sources[lo:lo + step], threshold,
+                      conduct, wmax, top, span, scratch)
+        for lo in range(0, len(sources), step)
+    ]
+    return _concat_parts(parts)
 
 
-def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax):
+def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax, top,
+                  span, scratch):
+    pp, reached, stamp = scratch
     B = len(sources)
-    pp = np.zeros(B * n, dtype=np.float64)
     rows = np.arange(B, dtype=np.int64)
-    pp[rows * n + sources] = 1.0
+    skeys = rows * n + sources
+    pp[skeys] = 1.0
+    reached[skeys] = True
 
     # Phase 1 — frontier relaxation (Bellman-Ford flavoured scatter-max).
     # Candidates are pp(parent) * w, exactly the heap's push values; the
@@ -216,7 +258,7 @@ def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax):
         ppx = pp[xkey]
         # Hopeless-frontier prune: even the best edge cannot reach the
         # threshold, so expansion would contribute nothing.
-        keep = ppx * wmax[fv] >= threshold
+        keep = _can_push(ppx, wmax[fv], threshold)
         fb, fv, xkey, ppx = fb[keep], fv[keep], xkey[keep], ppx[keep]
         if fv.size == 0:
             break
@@ -230,23 +272,38 @@ def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax):
         if oki.size == 0:
             break
         ky = keys[oki]
+        cv = cand[oki]
         pk_y.append(ky)
         pk_x.append(np.repeat(xkey, counts)[oki])
         pk_e.append(eidx[oki])
-        upd = _scatter_max(pp, ky, cand[oki])
-        if upd.size == 0:
+        # Scatter-max without a sort: only candidates above the current
+        # value can improve a key, maximum.at keeps the largest, and the
+        # stamp scratch keeps one entry per improved key.  The next
+        # frontier comes out in candidate order; nothing downstream
+        # depends on frontier order (see phase 2).
+        better = cv > pp[ky]
+        kb = ky[better]
+        if kb.size == 0:
             break
+        np.maximum.at(pp, kb, cv[better])
+        idx = np.arange(kb.size, dtype=np.int64)
+        stamp[kb] = idx
+        upd = kb[stamp[kb] == idx]
+        reached[upd] = True
         fb, fv = np.divmod(upd, n)
 
     # Phase 2 — settle order: (-pp, id) within each row, then replay the
-    # plateaus whose chronological order the sort cannot know.
-    flat = np.flatnonzero(pp)
-    rb, rv = np.divmod(flat, n)
+    # plateaus whose chronological order differs from id order.
+    flat = np.flatnonzero(reached[:B * n])  # (row, id) order
     rpp = pp[flat]
-    # ``flat`` is already (row, id)-sorted and lexsort is stable, so two
-    # keys give the full (row, -pp, id) order.
-    order = np.lexsort((-rpp, rb))
-    rb, rv, rpp = rb[order], rv[order], rpp[order]
+    pp[flat] = 0.0  # the scratch is clean again for the next batch
+    reached[flat] = False
+    rb = flat // n
+    # flat is (row, id)-sorted, so a stable sort on the packed (row, -pp)
+    # key gives the full (row, -pp, id) order.
+    order = np.argsort(rb * span + (top - rpp.view(np.int64)), kind="stable")
+    flat, rb, rpp = flat[order], rb[order], rpp[order]
+    rv = flat - rb * n
     R = rv.size
     row_counts = np.bincount(rb, minlength=B)
     row_ptr = np.concatenate(([0], np.cumsum(row_counts, dtype=np.int64)))
@@ -262,22 +319,22 @@ def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax):
     # pp(x) * w == pp(y).  The cache is a superset of all final-valid
     # pusher pairs — each x's *last* frontier visit relaxes with its
     # final pp(x), and pp only ever increases, so earlier visits merely
-    # contribute duplicates (every consumer below tolerates them:
-    # scatter flags, per-segment argmins with equal ranks, and the
-    # replay's pushed-set guard are all idempotent).  Both endpoints of
-    # every cached pair are reached (cand >= threshold was scatter-maxed
-    # into y; x sat on the frontier) and x conducts (phase 1 drops
-    # non-conducting frontier nodes), so no sentinel filtering is needed.
+    # contribute duplicates.  Every consumer below is free of pair order
+    # and tolerates duplicates: flags, per-position minima, and the
+    # replay's pushed guard.  Both endpoints of every cached pair are
+    # reached (cand >= threshold was scatter-maxed into y; x sat on the
+    # frontier) and x conducts (phase 1 drops non-conducting frontier
+    # nodes), so no sentinel filtering is needed.
     if pk_y:
         kall_y = np.concatenate(pk_y)
         kall_x = np.concatenate(pk_x)
         kall_e = np.concatenate(pk_e)
     else:
         kall_y = kall_x = kall_e = np.empty(0, dtype=np.int64)
-    posflat = np.empty(B * n, dtype=np.int64)
-    posflat[rb * n + rv] = np.arange(R, dtype=np.int64)
-    seg = posflat[kall_y]
-    xseg = posflat[kall_x]
+    pos = np.arange(R, dtype=np.int64)
+    stamp[flat] = pos
+    seg = stamp[kall_y]
+    xseg = stamp[kall_x]
     aw = w[kall_e]
     axpp = rpp[xseg]
     aval = axpp * aw
@@ -285,99 +342,114 @@ def _kernel_batch(n, ptr, adj, w, sources, threshold, conduct, wmax):
     is_source = rv == sources[rb]
     src_seg = is_source[seg]
 
-    has_ext = np.zeros(R, dtype=bool)
-    ext = is_ach & (axpp > rpp[seg])
-    has_ext[seg[ext]] = True
-    needs_fix = ~has_ext & ~is_source
-    fix_plat = np.zeros(plat_start.size, dtype=bool)
-    fix_plat[plat_id[needs_fix]] = True
-    sim_mask = fix_plat & (plat_size > 1)
-    sim_plats = np.flatnonzero(sim_mask)
-    if sim_plats.size:
-        # Pre-convert everything the replay loops touch to Python lists in
-        # one vectorized pass each — per-element numpy scalar indexing
-        # would dominate on tie-heavy weightings (WC/LT-uniform graphs
-        # are full of exact 1/in-degree products and weight-1.0 chains).
-        intra = np.flatnonzero(is_ach & (axpp == rpp[seg]) & ~src_seg)
-        ipl = plat_id[seg[intra]]
-        sel = sim_mask[ipl]
-        intra, ipl = intra[sel], ipl[sel]
-        io = np.argsort(ipl, kind="stable")
-        intra = intra[io]
-        bounds = np.searchsorted(ipl[io], sim_plats)
-        bounds = np.r_[bounds, intra.size].tolist()
-        intra_u = rv[xseg[intra]].tolist()
-        intra_y = rv[seg[intra]].tolist()
-        ready0 = (has_ext | is_source)
-        rv_list = rv.tolist()
-        ready0_list = ready0.tolist()
-        ranks = final_rank.tolist()
-        for j, p in enumerate(sim_plats.tolist()):
-            s0 = int(plat_start[p])
-            sz = int(plat_size[p])
-            members = rv_list[s0:s0 + sz]  # ascending id = provisional order
-            pos = {u: s0 + i for i, u in enumerate(members)}
-            adjm: dict[int, list[int]] = {}
-            for e in range(bounds[j], bounds[j + 1]):
-                adjm.setdefault(intra_u[e], []).append(intra_y[e])
-            ready = [u for u, ok in zip(members, ready0_list[s0:s0 + sz]) if ok]
-            heapq.heapify(ready)
-            pushed = set(ready)
-            base = ranks[s0]
-            settled = 0
-            while ready:
-                u = heapq.heappop(ready)
-                ranks[pos[u]] = base + settled
-                settled += 1
-                for y in adjm.get(u, ()):
-                    if y not in pushed:
-                        pushed.add(y)
-                        heapq.heappush(ready, y)
-            # Defensive: every member is reachable through its achiever
-            # chain; if the replay ever missed one, fall back to id order.
-            if settled != sz:  # pragma: no cover
-                for u in sorted(u for u in members if u not in pushed):
-                    ranks[pos[u]] = base + settled
-                    settled += 1
-        final_rank = np.asarray(ranks, dtype=np.int64)
+    # A plateau's heap order is id order exactly when every member with
+    # no external achiever (and not the source) has an intra-plateau
+    # achiever with a smaller id: by induction over ids, each member is
+    # then in the heap by the time every smaller id has popped.  Within a
+    # plateau, position order is id order, so positions stand in for ids.
+    ready = np.zeros(R, dtype=bool)
+    ready[seg[is_ach & (axpp > rpp[seg])]] = True
+    ready |= is_source
+    intra = np.flatnonzero(is_ach & (axpp == rpp[seg]) & ~src_seg)
+    iy, ix = seg[intra], xseg[intra]
+    first_ach = np.full(R, R, dtype=np.int64)
+    np.minimum.at(first_ach, iy, ix)
+    late = ~ready & (first_ach >= pos)
+    if late.any():
+        final_rank = _replay_plateaus(
+            final_rank, plat_id, plat_start, plat_size, late, ready,
+            first_ach, iy, ix,
+        )
 
-    # Phase 3 — parents (first-settling achiever) and first-push ranks.
-    # Achiever pairs are a subset of pusher pairs (aval == pp(y) >= the
-    # threshold), so one (segment, rank) sort serves both argmins: the
-    # first entry per segment is the first pusher, and the first
-    # achiever-flagged entry per segment is the parent.
+    # Phase 3 — parents (first-settling achiever) and first-push ranks,
+    # as per-position minima over the pairs.  Achiever pairs are a subset
+    # of pusher pairs (aval == pp(y) >= the threshold).  The parent key
+    # packs (settle rank, pair index): duplicates of the winning pair
+    # carry the same rank and edge, and the pair index breaks the tie in
+    # cache order.
     arank = final_rank[xseg]
     parent_pos = np.full(R, -1, dtype=np.int64)
     parent_w = np.zeros(R, dtype=np.float64)
     first_rank = np.full(R, -1, dtype=np.int64)
     push = np.flatnonzero((aval >= threshold) & ~src_seg)
     if push.size:
-        pseg = seg[push]
-        prank = arank[push]
-        span = int(prank.max()) + 1
-        po = push[np.argsort(pseg * span + prank, kind="stable")]
-        so = seg[po]
-        first = np.flatnonzero(np.r_[True, so[1:] != so[:-1]])
-        first_rank[so[first]] = arank[po[first]]
-        # Per segment, the smallest sorted position carrying an achiever
-        # (a big sentinel marks non-achievers; duplicates of the winning
-        # pair carry the same rank and edge, so any of them is the same
-        # parent).
-        pos_idx = np.where(is_ach[po], np.arange(po.size, dtype=np.int64),
-                           po.size)
-        amin = np.minimum.reduceat(pos_idx, first)
-        hasa = amin < po.size
-        segs_a = so[first][hasa]
-        picks = po[amin[hasa]]
-        parent_pos[segs_a] = arank[picks]
-        parent_w[segs_a] = aw[picks]
+        big = np.iinfo(np.int64).max
+        fr = np.full(R, big, dtype=np.int64)
+        np.minimum.at(fr, seg[push], arank[push])
+        hit = fr < big
+        first_rank[hit] = fr[hit]
+        ach = push[is_ach[push]]
+        npair = kall_y.size
+        best = np.full(R, big, dtype=np.int64)
+        np.minimum.at(best, seg[ach], arank[ach] * npair + ach)
+        hit = np.flatnonzero(best < big)
+        picks = best[hit] % npair
+        parent_pos[hit] = arank[picks]
+        parent_w[hit] = aw[picks]
 
     # Reorder to settle order by inverting the rank permutation (cheaper
     # than another sort: final_rank is a permutation within each row).
     out = np.empty(R, dtype=np.int64)
-    out[row_ptr[rb] + final_rank] = np.arange(R, dtype=np.int64)
+    out[row_ptr[rb] + final_rank] = pos
     return (row_ptr, rv[out], rpp[out], parent_pos[out], parent_w[out],
             first_rank[out])
+
+
+def _replay_plateaus(final_rank, plat_id, plat_start, plat_size, late,
+                     ready, first_ach, iy, ix):
+    """Legacy heap order inside every plateau holding a ``late`` member
+    (``late``: neither ready nor pushed by a smaller id).
+
+    Members start poppable when ``ready`` (an external achiever, or the
+    source); the rest enter the heap when an intra-plateau achiever pops
+    (pairs ``ix`` → ``iy``, as positions).  Under WC and uniform LT every
+    in-degree-1 node makes a weight-1.0 tie, so this runs on tens of
+    thousands of plateaus per livejournal pass.  Members before a
+    plateau's first late one pop in id order (the induction of the
+    caller holds on that prefix), so each heap starts there, holding the
+    later members that are ready or that the prefix pushed
+    (``first_ach`` is each member's smallest intra-achiever position).
+    The loop runs on the suffixes' positions, renumbered densely (order
+    is kept, so position order is still id order), with one CSR of intra
+    pairs and one bytearray of pushed flags.
+    """
+    lpos = np.flatnonzero(late)
+    lp = plat_id[lpos]
+    head = np.flatnonzero(np.r_[True, lp[1:] != lp[:-1]])
+    plats, cut = lp[head], lpos[head]  # each plateau's first late member
+    lens = plat_start[plats] + plat_size[plats] - cut
+    ends = np.cumsum(lens)
+    M = int(ends[-1])
+    slots = np.arange(M, dtype=np.int64) + np.repeat(cut - (ends - lens), lens)
+    local = np.full(final_rank.size, -1, dtype=np.int64)
+    local[slots] = np.arange(M, dtype=np.int64)
+    init = ready[slots] | (first_ach[slots] < np.repeat(cut, lens))
+    lx, ly = local[ix], local[iy]
+    keep = (lx >= 0) & (ly >= 0)
+    lx, ly = lx[keep], ly[keep]
+    succ = ly[np.argsort(lx, kind="stable")].tolist()
+    sptr = np.zeros(M + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lx, minlength=M), out=sptr[1:])
+    sptr = sptr.tolist()
+    starts = np.flatnonzero(init)
+    bounds = np.searchsorted(starts, np.r_[0, ends]).tolist()
+    starts = starts.tolist()
+    pushed = bytearray(init.tobytes())
+    heappop, heappush = heapq.heappop, heapq.heappush
+    pops: list[int] = []
+    for j in range(len(bounds) - 1):
+        heap = starts[bounds[j]:bounds[j + 1]]  # ascending: already a heap
+        while heap:
+            u = heappop(heap)
+            pops.append(u)
+            for y in succ[sptr[u]:sptr[u + 1]]:
+                if not pushed[y]:
+                    pushed[y] = 1
+                    heappush(heap, y)
+    # The i-th pop of a suffix takes the suffix's i-th rank; a member the
+    # replay never reached would leave the two lists unequal.
+    final_rank[slots[np.asarray(pops, dtype=np.int64)]] = final_rank[slots]
+    return final_rank
 
 
 def _worker_chunks(count: int, workers: int) -> list[tuple[int, int]]:
@@ -421,20 +493,14 @@ def batched_max_prob_paths(
             # replay a lost chunk exactly; parts merge in span order.
             # The graph and search parameters are chunk-invariant and
             # ride the shared-args transport (shm arena when big enough).
-            parts = run_chunks(
+            merged = _concat_parts(run_chunks(
                 _kernel_chunk,
                 [(sources[lo:hi],) for lo, hi in spans],
                 workers=len(spans),
                 label="paths.dijkstra_batch",
                 tick=tick,
                 shared=(graph, threshold, reverse, blocked),
-            )
-            ptrs = [parts[0][0]]
-            for part in parts[1:]:
-                ptrs.append(part[0][1:] + ptrs[-1][-1])
-            merged = tuple([np.concatenate(ptrs)] + [
-                np.concatenate([part[j] for part in parts]) for j in range(1, 6)
-            ])
+            ))
         else:
             merged = _kernel_chunk(graph, threshold, reverse, blocked, sources)
             if tick is not None:
@@ -602,6 +668,65 @@ def _dags_from_chunk(roots, flat, edges) -> list[LocalDag]:
     return dags
 
 
+class _Sweep:
+    """The structures of one ``gains`` call as flat arrays for the
+    rank-at-a-time DP sweeps.
+
+    Nodes are concatenated in structure order (``starts`` delimits them).
+    Each edge is (target, other end, weight) in that flat numbering — the
+    other end is a tree child or a DAG source — stably ordered by target
+    rank, so every rank keeps each structure's legacy edge order;
+    ``edges(r)`` is rank ``r``'s slice.  ``members(r)`` is the flat
+    position of rank ``r`` in every structure that has one.
+    """
+
+    def __init__(self, structures: list, others: list, in_seed: np.ndarray) -> None:
+        sizes = np.array([len(st) for st in structures], dtype=np.int64)
+        self.starts = np.concatenate(([0], np.cumsum(sizes)))
+        self.size = int(self.starts[-1])
+        self.max_size = int(sizes.max()) if sizes.size else 0
+        if structures:
+            self.nodes = np.concatenate([st.nodes for st in structures])
+            tr = np.concatenate([st.e_tpos for st in structures])
+            fo = np.concatenate(others)
+            fw = np.concatenate([st.e_w for st in structures])
+        else:
+            self.nodes = tr = fo = np.empty(0, dtype=np.int64)
+            fw = np.empty(0, dtype=np.float64)
+        shift = np.repeat(self.starts[:-1], [len(o) for o in others])
+        # A stable argsort of 16-bit keys runs as a radix sort.
+        keys = tr.astype(np.uint16) if self.max_size <= 2**16 else tr
+        eo = np.argsort(keys, kind="stable")
+        tr, shift = tr[eo], shift[eo]
+        self.target, self.other, self.w = tr + shift, fo[eo] + shift, fw[eo]
+        self.rank_bounds = np.searchsorted(
+            tr, np.arange(self.max_size + 1, dtype=np.int64)
+        )
+        size_order = np.argsort(-sizes, kind="stable")
+        self.starts_by_size = self.starts[size_order]
+        self.n_at_rank = np.searchsorted(
+            -sizes[size_order], -np.arange(self.max_size + 1, dtype=np.int64),
+            side="left",
+        )
+        self.seedm = in_seed[self.nodes]
+
+    def edges(self, r: int) -> slice:
+        return slice(self.rank_bounds[r], self.rank_bounds[r + 1])
+
+    def members(self, r: int) -> np.ndarray:
+        return self.starts_by_size[: self.n_at_rank[r]] + r
+
+    def split(self, gains: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-structure ``(nodes, gain)`` of the non-seed members."""
+        keep = ~self.seedm
+        nodes, gains = self.nodes[keep], gains[keep]
+        ptr = np.concatenate(([0], np.cumsum(keep, dtype=np.int64)))
+        bounds = ptr[self.starts].tolist()
+        return [
+            (nodes[lo:hi], gains[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+
 class _StoreBase:
     """Shared shape: per-structure records + the containing inverted index."""
 
@@ -618,7 +743,11 @@ class _StoreBase:
             sizes = np.array([len(st) for st in structures], dtype=np.int64)
             allnodes = np.concatenate([st.nodes for st in structures])
             alli = np.repeat(np.arange(len(structures), dtype=np.int64), sizes)
-            order = np.argsort(allnodes, kind="stable")
+            # A stable argsort of 16-bit keys runs as a radix sort.
+            narrow = graph.n <= 2**16
+            order = np.argsort(
+                allnodes.astype(np.uint16) if narrow else allnodes, kind="stable"
+            )
             sn = allnodes[order]
             self._inv_ids = alli[order]
             self._inv_ptr = np.searchsorted(sn, np.arange(graph.n + 1, dtype=np.int64))
@@ -658,25 +787,57 @@ class TreeStore(_StoreBase):
         super().__init__(graph, trees)
         self.theta = theta
 
+    def pushing(self, idxs: list[int], seed: int) -> list[int]:
+        """The arborescences of ``idxs`` that blocking ``seed`` can change.
+
+        Blocking ``seed`` changes MIIA(v) only if v != seed (a blocked
+        root still conducts) and the kernel expands ``seed`` there:
+        ``pp_v(seed) * wmax(seed) >= θ``, with ``wmax`` the largest
+        in-weight of ``seed`` — the kernel's own hopeless-frontier test
+        (:func:`_can_push`).  In every other arborescence the kernel prunes
+        ``seed`` before expanding it, blocked or not, so a rebuild would
+        return the same arrays bit for bit; they keep their arrays and
+        their membership.  (Their ap/alpha still change: ``gains`` must
+        re-sweep every structure holding ``seed``.)
+        """
+        trees = [self.structures[i] for i in idxs]
+        nodes = np.concatenate([t.nodes for t in trees])
+        ends = np.cumsum([len(t) for t in trees])
+        hit = np.flatnonzero(nodes == seed)
+        pp_seed = np.zeros(len(trees), dtype=np.float64)
+        pp_seed[np.searchsorted(ends, hit, side="right")] = (
+            np.concatenate([t.pp for t in trees])[hit]
+        )
+        lo, hi = self.graph.in_ptr[seed], self.graph.in_ptr[seed + 1]
+        wmax = self.graph.in_w[lo:hi].max() if hi > lo else 0.0
+        roots = np.array([t.root for t in trees], dtype=np.int64)
+        keep = _can_push(pp_seed, wmax, self.theta) & (roots != seed)
+        return [i for i, k in zip(idxs, keep.tolist()) if k]
+
     def rebuild(self, idxs: list[int], blocked: np.ndarray,
                 tick: Callable[[], None] | None = None) -> None:
         """Re-derive the arborescences of ``idxs`` with ``blocked`` seeds
         banned from interior positions, updating ``containing``."""
+        if not idxs:
+            return
         tele = _tele()
+        n = self.graph.n
         with tele.span("paths.rebuild"):
-            roots = np.array([self.structures[i].root for i in idxs], dtype=np.int64)
+            ids = np.asarray(idxs, dtype=np.int64)
             batch = batched_max_prob_paths(
-                self.graph, roots, self.theta, reverse=True, blocked=blocked,
-                tick=tick,
+                self.graph, [self.structures[i].root for i in idxs], self.theta,
+                reverse=True, blocked=blocked, tick=tick,
             )
+            # Membership changes as (structure, node) keys: old-only keys
+            # leave ``containing``, new-only keys join it.
+            old = [self.structures[i].nodes for i in idxs]
+            old_keys = np.repeat(ids * n, [len(a) for a in old]) + np.concatenate(old)
+            new_keys = np.repeat(ids * n, np.diff(batch.ptr)) + batch.node
+            for key in np.setdiff1d(old_keys, new_keys, assume_unique=True).tolist():
+                self._containing_mutable(key % n).discard(key // n)
+            for key in np.setdiff1d(new_keys, old_keys, assume_unique=True).tolist():
+                self._containing_mutable(key % n).add(key // n)
             for i, tree in zip(idxs, _trees_from_batch(batch)):
-                old = self.structures[i]
-                old_nodes = set(int(u) for u in old.nodes)
-                new_nodes = set(int(u) for u in tree.nodes)
-                for u in old_nodes - new_nodes:
-                    self._containing_mutable(u).discard(i)
-                for u in new_nodes - old_nodes:
-                    self._containing_mutable(u).add(i)
                 self.structures[i] = tree
         tele.count("paths.structures_rebuilt", len(idxs))
 
@@ -692,37 +853,23 @@ class TreeStore(_StoreBase):
 
     def _gains(self, idxs: list[int], in_seed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         trees = [self.structures[i] for i in idxs]
-        sizes = np.array([len(t) for t in trees], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        T = int(starts[-1])
-        fnodes = np.concatenate([t.nodes for t in trees]) if trees else np.empty(0, np.int64)
-        ft = np.concatenate([t.e_tpos + s for t, s in zip(trees, starts)]) if trees else np.empty(0, np.int64)
-        fc = np.concatenate([t.e_cpos + s for t, s in zip(trees, starts)]) if trees else np.empty(0, np.int64)
-        fw = np.concatenate([t.e_w for t in trees]) if trees else np.empty(0, np.float64)
-        tr = np.concatenate([t.e_tpos for t in trees]) if trees else np.empty(0, np.int64)
-        eo = np.argsort(tr, kind="stable")
-        ft, fc, fw, tr = ft[eo], fc[eo], fw[eo], tr[eo]
-        max_size = int(sizes.max()) if sizes.size else 0
-        rank_bounds = np.searchsorted(tr, np.arange(max_size + 1, dtype=np.int64))
-        size_order = np.argsort(-sizes, kind="stable")
-        starts_by_size = starts[size_order]
-        n_at_rank = np.searchsorted(-sizes[size_order], -np.arange(max_size + 1, dtype=np.int64), side="left")
+        sw = _Sweep(trees, [t.e_cpos for t in trees], in_seed)
+        ft, fc, fw, seedm = sw.target, sw.other, sw.w, sw.seedm
 
-        seedm = in_seed[fnodes]
-        ap = np.zeros(T, dtype=np.float64)
-        miss = np.ones(T, dtype=np.float64)
-        for r in range(max_size - 1, -1, -1):
-            el = slice(rank_bounds[r], rank_bounds[r + 1])
+        ap = np.zeros(sw.size, dtype=np.float64)
+        miss = np.ones(sw.size, dtype=np.float64)
+        for r in range(sw.max_size - 1, -1, -1):
+            el = sw.edges(r)
             if el.start != el.stop:
                 np.multiply.at(miss, ft[el], 1.0 - ap[fc[el]] * fw[el])
-            mem = starts_by_size[: n_at_rank[r]] + r
+            mem = sw.members(r)
             ap[mem] = np.where(seedm[mem], 1.0, 1.0 - miss[mem])
 
-        alpha = np.zeros(T, dtype=np.float64)
-        roots_flat = starts[:-1]
+        alpha = np.zeros(sw.size, dtype=np.float64)
+        roots_flat = sw.starts[:-1]
         alpha[roots_flat] = np.where(seedm[roots_flat], 0.0, 1.0)
-        for r in range(max_size):
-            el = slice(rank_bounds[r], rank_bounds[r + 1])
+        for r in range(sw.max_size):
+            el = sw.edges(r)
             if el.start == el.stop:
                 continue
             ft_s, fc_s, fw_s = ft[el], fc[el], fw[el]
@@ -748,13 +895,7 @@ class TreeStore(_StoreBase):
                 apar = np.where(seedm[ft_s], 0.0, apar)
             alpha[fc_s] = apar * fw_s * siblings
 
-        gains = alpha * (1.0 - ap)
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(len(trees)):
-            sl = slice(int(starts[i]), int(starts[i + 1]))
-            keep = ~seedm[sl]
-            out.append((fnodes[sl][keep], gains[sl][keep]))
-        return out
+        return sw.split(alpha * (1.0 - ap))
 
 
 class DagStore(_StoreBase):
@@ -776,37 +917,23 @@ class DagStore(_StoreBase):
 
     def _gains(self, idxs: list[int], in_seed: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         dags = [self.structures[i] for i in idxs]
-        sizes = np.array([len(d) for d in dags], dtype=np.int64)
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        T = int(starts[-1])
-        fnodes = np.concatenate([d.nodes for d in dags]) if dags else np.empty(0, np.int64)
-        ft = np.concatenate([d.e_tpos + s for d, s in zip(dags, starts)]) if dags else np.empty(0, np.int64)
-        fs = np.concatenate([d.e_spos + s for d, s in zip(dags, starts)]) if dags else np.empty(0, np.int64)
-        fw = np.concatenate([d.e_w for d in dags]) if dags else np.empty(0, np.float64)
-        tr = np.concatenate([d.e_tpos for d in dags]) if dags else np.empty(0, np.int64)
-        eo = np.argsort(tr, kind="stable")
-        ft, fs, fw, tr = ft[eo], fs[eo], fw[eo], tr[eo]
-        max_size = int(sizes.max()) if sizes.size else 0
-        rank_bounds = np.searchsorted(tr, np.arange(max_size + 1, dtype=np.int64))
-        size_order = np.argsort(-sizes, kind="stable")
-        starts_by_size = starts[size_order]
-        n_at_rank = np.searchsorted(-sizes[size_order], -np.arange(max_size + 1, dtype=np.int64), side="left")
+        sw = _Sweep(dags, [d.e_spos for d in dags], in_seed)
+        ft, fs, fw, seedm = sw.target, sw.other, sw.w, sw.seedm
 
-        seedm = in_seed[fnodes]
-        ap = np.zeros(T, dtype=np.float64)
-        acc = np.zeros(T, dtype=np.float64)
-        for r in range(max_size - 1, -1, -1):
-            el = slice(rank_bounds[r], rank_bounds[r + 1])
+        ap = np.zeros(sw.size, dtype=np.float64)
+        acc = np.zeros(sw.size, dtype=np.float64)
+        for r in range(sw.max_size - 1, -1, -1):
+            el = sw.edges(r)
             if el.start != el.stop:
                 np.add.at(acc, ft[el], ap[fs[el]] * fw[el])
-            mem = starts_by_size[: n_at_rank[r]] + r
+            mem = sw.members(r)
             ap[mem] = np.where(seedm[mem], 1.0, np.minimum(acc[mem], 1.0))
 
-        alpha = np.zeros(T, dtype=np.float64)
-        roots_flat = starts[:-1]
+        alpha = np.zeros(sw.size, dtype=np.float64)
+        roots_flat = sw.starts[:-1]
         alpha[roots_flat] = np.where(seedm[roots_flat], 0.0, 1.0)
-        for r in range(max_size):
-            el = slice(rank_bounds[r], rank_bounds[r + 1])
+        for r in range(sw.max_size):
+            el = sw.edges(r)
             if el.start == el.stop:
                 continue
             ft_s, fs_s, fw_s = ft[el], fs[el], fw[el]
@@ -815,13 +942,7 @@ class DagStore(_StoreBase):
                 contrib = np.where(seedm[ft_s], 0.0, contrib)
             np.add.at(alpha, fs_s, contrib)
 
-        gains = alpha * (1.0 - ap)
-        out: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(len(dags)):
-            sl = slice(int(starts[i]), int(starts[i + 1]))
-            keep = ~seedm[sl]
-            out.append((fnodes[sl][keep], gains[sl][keep]))
-        return out
+        return sw.split(alpha * (1.0 - ap))
 
 
 def build_tree_store(

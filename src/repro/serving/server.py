@@ -332,6 +332,10 @@ class InfluenceServer:
         params = dict(request.get("params") or {})
         seed = int(request.get("seed", 0))
         graph, model = self.catalog.weighted(dataset, model_name)
+        if k > graph.n:
+            raise ServingRequestError(
+                f"k={k} exceeds the number of nodes ({graph.n})"
+            )
         if algorithm == "RIS":
             return await self._topk_rrpool(
                 dataset, model_name, graph, model, k, params, seed

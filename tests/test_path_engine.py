@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from repro.algorithms.irie import IRIE
 from repro.algorithms.ldag import LDAG
 from repro.algorithms.pmia import PMIA
+from repro.diffusion import paths
 from repro.diffusion.models import WC, LT
 from repro.diffusion.paths import (
     DagStore,
@@ -169,6 +170,27 @@ class TestKernelVsLegacy:
             for j in range(1, 6):
                 assert np.array_equal(together[j][sl], alone[j])
 
+    def test_kernel_rows_independent_with_one_row_batches(self, monkeypatch):
+        # One row per batch: every batch after the first runs on the
+        # scratch the previous batch used and cleared.
+        monkeypatch.setattr(paths, "_MAX_DENSE", 1)
+        self.test_kernel_rows_independent_of_batch_composition()
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_sources_gives_empty_batch(self, two_cliques, reverse):
+        batch = batched_max_prob_paths(two_cliques, [], THETA, reverse=reverse)
+        assert len(batch) == 0
+        assert batch.ptr.tolist() == [0]
+        for arr in (batch.node, batch.pp, batch.parent_pos, batch.parent_w,
+                    batch.first_rank):
+            assert arr.size == 0
+
+    def test_weights_above_one_rejected(self):
+        # The packed settle key relies on every pp lying in (0, 1].
+        g = DiGraph.from_edges(2, [(0, 1)], weights=[1.5])
+        with pytest.raises(ValueError, match="probabilities"):
+            batched_max_prob_paths(g, [0], THETA)
+
     def test_batch_shape_invariants(self, two_cliques):
         sources = np.arange(two_cliques.n)
         batch = batched_max_prob_paths(two_cliques, sources, THETA)
@@ -280,6 +302,44 @@ class TestTreeStore:
             )
             assert store.dirty(u) == expect
 
+    def test_rebuild_nothing_is_a_noop(self):
+        g = self.graph()
+        store = build_tree_store(g, THETA)
+        before = [t.nodes for t in store.structures]
+        store.rebuild([], np.ones(g.n, dtype=bool))
+        assert all(t.nodes is b for t, b in zip(store.structures, before))
+
+    @settings(max_examples=100, deadline=None)
+    @given(tie_heavy_graphs(), st.sampled_from([THETA, 0.1]), st.data())
+    def test_property_filtered_rebuild_matches_miia(self, g, theta, data):
+        # PMIA's round: block the pick, rebuild only the trees where it
+        # can push.  Every tree, rebuilt or skipped, must be the MIIA under
+        # the whole blocked prefix, and the inverted index must follow.
+        picks = data.draw(st.lists(
+            st.integers(min_value=0, max_value=g.n - 1),
+            min_size=1, max_size=4, unique=True,
+        ))
+        store = build_tree_store(g, theta)
+        blocked = np.zeros(g.n, dtype=bool)
+        for s in picks:
+            blocked[s] = True
+            store.rebuild(store.pushing(store.dirty(s), s), blocked)
+            for tree in store.structures:
+                arb = build_miia(g, tree.root, theta, blocked=blocked)
+                nodes = tree.nodes.tolist()
+                assert nodes == list(reversed(arb.order))
+                kids = {u: [] for u in nodes}
+                for t, c in zip(tree.e_tpos.tolist(), tree.e_cpos.tolist()):
+                    kids[nodes[t]].append(nodes[c])
+                for u in nodes:
+                    assert kids[u] == arb.children[u]
+            for u in range(g.n):
+                expect = [
+                    i for i, t in enumerate(store.structures)
+                    if u in set(t.nodes.tolist())
+                ]
+                assert store.dirty(u) == expect
+
 
 class TestDagStore:
     def graph(self):
@@ -361,6 +421,15 @@ class TestEngineSelectionParity:
         legacy = self.LEGACY[cls]().select(
             g, 8, model, rng=np.random.default_rng(0)
         )
+        assert flat.seeds == legacy.seeds
+
+    def test_pmia_seed_without_in_edges(self, star_graph):
+        # The hub has no in-edges, so it can push in no tree: its round
+        # rebuilds nothing and only re-sweeps the trees holding it.
+        g = WC.weighted(star_graph)
+        flat = PMIA().select(g, 3, WC, rng=np.random.default_rng(0))
+        legacy = LegacyPMIA().select(g, 3, WC, rng=np.random.default_rng(0))
+        assert flat.seeds[0] == 0
         assert flat.seeds == legacy.seeds
 
 

@@ -24,6 +24,13 @@ GOLDEN_NETHEPT = {
     ("IRIE", "WC"): [5, 3, 12, 1, 9, 11, 31, 4, 0, 6],
 }
 
+# The perfbench ``cell-path`` graph at k = 4: from the second round on,
+# picks read the membership that PMIA's filtered rebuilds maintain.
+GOLDEN_LIVEJOURNAL = {
+    ("PMIA", "WC"): ([3253, 2523, 1043, 3264], "avg_arborescence_size", 143.3364),
+    ("LDAG", "LT"): ([3253, 2523, 3264, 1043], "total_dag_nodes", 746075),
+}
+
 MODELS = {"IC": IC, "WC": WC, "LT": LT}
 CLASSES = {"PMIA": PMIA, "LDAG": LDAG, "IRIE": IRIE}
 LEGACY = {"PMIA": LegacyPMIA, "LDAG": LegacyLDAG, "IRIE": LegacyIRIE}
@@ -57,3 +64,13 @@ def test_path_workers_do_not_change_seeds(nethept):
     serial = PMIA().select(graph, 10, WC, rng=np.random.default_rng(0))
     fanned = PMIA(path_workers=2).select(graph, 10, WC, rng=np.random.default_rng(0))
     assert fanned.seeds == serial.seeds
+
+
+@pytest.mark.parametrize("name,model_name", sorted(GOLDEN_LIVEJOURNAL))
+def test_path_engine_golden_on_livejournal(name, model_name):
+    model = MODELS[model_name]
+    graph = model.weighted(catalog.load("livejournal"), np.random.default_rng(0))
+    result = CLASSES[name]().select(graph, 4, model, rng=np.random.default_rng(0))
+    seeds, extra, value = GOLDEN_LIVEJOURNAL[(name, model_name)]
+    assert result.seeds == seeds
+    assert result.extras[extra] == value

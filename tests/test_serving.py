@@ -346,6 +346,22 @@ def test_topk_ris_params_checked_by_ris(served):
         assert client.ping() == "pong"
 
 
+def test_topk_k_above_node_count_rejected_for_every_technique(served):
+    # The warm RIS pool pads to at most n nodes, so without the shared
+    # check a RIS topk with k > n answered n seeds under the requested k.
+    n = _weighted()[0].n
+    params = {"RIS": {"num_rr_sets": 1000}, "DegreeDiscount": {}}
+    with served.client() as client:
+        for algorithm in ("RIS", "DegreeDiscount"):
+            with pytest.raises(ServingError, match="exceeds the number of nodes"):
+                client.topk("nethept", "IC", algorithm, n + 1,
+                            params=params[algorithm])
+            got = client.topk("nethept", "IC", algorithm, n,
+                              params=params[algorithm])
+            assert got["k"] == n and len(got["seeds"]) == n
+        assert client.ping() == "pong"
+
+
 def test_rrpool_artifact_bytes_include_inverted_index():
     # Every max-cover reads the pool's inverted index, so the LRU must
     # charge for it from the first (cold) query on.
